@@ -9,7 +9,6 @@ group-sparse reconstruction.
 
 __version__ = "0.1.0"
 
-from ._accel import backend_name
 from .config import RunConfig, default_config, parse_config, parse_config_text
 from .detect import (
     DetectionResult,
@@ -75,7 +74,6 @@ from .tensorio import (
 
 __all__ = [
     "__version__",
-    "backend_name",
     "RunConfig",
     "default_config",
     "parse_config",

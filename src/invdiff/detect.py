@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .operator import PsdrTensor, SigmaGrid
+from .operator import SigmaGrid, tensor_data
 
 
 @dataclass(frozen=True)
@@ -77,7 +77,7 @@ def aggregate_map(a, grid: SigmaGrid) -> np.ndarray:
     bin values were normalized, so the map approximates each pixel's total
     bound mass attributable to signal scales.
     """
-    data = a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
+    data = tensor_data(a)
     if data.ndim != 3 or data.shape[2] != grid.n_bins:
         raise ValueError(
             f"tensor shape {data.shape} does not match the {grid.n_bins}-bin grid"

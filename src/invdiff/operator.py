@@ -4,8 +4,8 @@ A bound-particle image is modeled as a sum over scale bins: each slice of a
 scale-resolved source tensor is convolved with a pixel-integrated Gaussian
 kernel for its bin and the results are added. This module builds those
 kernels (exact pixel integration, Gauss-Legendre averaging across each bin)
-and applies the forward map and its adjoint, with a transform-domain path for
-wide kernels and a direct spatial path for narrow ones.
+and applies the forward map and its adjoint, both by FFT on a zero-padded
+panel.
 """
 
 from __future__ import annotations
@@ -15,14 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import next_fast_len, rfft2, irfft2
 
-from . import _accel
 from .mathcore import omega
-
-_DIRECT_RADIUS_LIMIT = 16  # spatial convolution below, FFT above
-
-
-def _fft_workers():
-    return _accel.thread_cap()
 
 
 @dataclass(frozen=True)
@@ -158,25 +151,33 @@ class KernelBank:
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
 
     def plan(self, shape: tuple[int, int]) -> dict:
-        """Cached spectral data for images of the given shape."""
+        """Cached spectral data for images of the given shape.
+
+        A 'same' convolution on an M x N image never reaches kernel offsets
+        beyond M-1 rows or N-1 columns, so each kernel is cropped to that
+        reach before its spectrum is taken; the result is unchanged.
+        """
         key = (int(shape[0]), int(shape[1]))
         hit = self._plans.get(key)
         if hit is not None:
             return hit
         m, n = key
-        rmax = max(self.radii)
-        # the padded panel must hold the whole kernel and keep the circular
-        # wrap of its negative lobe clear of the first m (n) samples
-        pm = next_fast_len(max(m + rmax, 2 * rmax + 1))
-        pn = next_fast_len(max(n + rmax, 2 * rmax + 1))
+        rm = min(max(self.radii), m - 1)
+        rn = min(max(self.radii), n - 1)
+        # m + rm samples keep the circular wrap of the cropped kernel's
+        # negative lobe clear of the first m; as rm < m they also hold the
+        # whole 2 * rm + 1 kernel (likewise for columns)
+        pm = next_fast_len(m + rm)
+        pn = next_fast_len(n + rn)
         ghat = np.empty(
             (len(self.kernels), pm, pn // 2 + 1), dtype=np.complex128
         )
         for k, (g, r) in enumerate(zip(self.kernels, self.radii)):
+            km, kn = min(r, m - 1), min(r, n - 1)
             buf = np.zeros((pm, pn))
-            buf[: 2 * r + 1, : 2 * r + 1] = g
-            buf = np.roll(buf, (-r, -r), axis=(0, 1))
-            ghat[k] = rfft2(buf, workers=_fft_workers())
+            buf[: 2 * km + 1, : 2 * kn + 1] = g[r - km : r + km + 1, r - kn : r + kn + 1]
+            buf = np.roll(buf, (-km, -kn), axis=(0, 1))
+            ghat[k] = rfft2(buf)
         plan = {"pad": (pm, pn), "ghat": ghat}
         self._plans[key] = plan
         return plan
@@ -224,45 +225,28 @@ def build_kernel_bank(
     )
 
 
-def _tensor_data(a) -> np.ndarray:
+def tensor_data(a) -> np.ndarray:
+    """The array inside a PsdrTensor, or ``a`` itself as a float64 array."""
     return a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
 
 
-def _split_bins(bank: KernelBank, method: str):
-    if method not in ("auto", "fft", "direct"):
-        raise ValueError(f"method must be auto|fft|direct, got {method!r}")
-    if method == "fft":
-        return [], list(range(len(bank.kernels)))
-    if method == "direct":
-        return list(range(len(bank.kernels))), []
-    direct = [k for k, r in enumerate(bank.radii) if r <= _DIRECT_RADIUS_LIMIT]
-    via_fft = [k for k, r in enumerate(bank.radii) if r > _DIRECT_RADIUS_LIMIT]
-    return direct, via_fft
-
-
-def forward(a, bank: KernelBank, method: str = "auto") -> np.ndarray:
+def forward(a, bank: KernelBank) -> np.ndarray:
     """Apply the imaging operator: sum over bins of kernel_k (*) a[:, :, k]."""
-    data = _tensor_data(a)
+    data = tensor_data(a)
     if data.ndim != 3 or data.shape[2] != bank.grid.n_bins:
         raise ValueError(
             f"tensor shape {data.shape} does not match the {bank.grid.n_bins}-bin bank"
         )
     m, n, _ = data.shape
-    out = np.zeros((m, n))
-    direct, via_fft = _split_bins(bank, method)
-    for k in direct:
-        out += _accel.conv2_same(data[:, :, k], bank.kernels[k])
-    if via_fft:
-        plan = bank.plan((m, n))
-        pm, pn = plan["pad"]
-        acc = np.zeros((pm, pn // 2 + 1), dtype=np.complex128)
-        for k in via_fft:
-            acc += rfft2(data[:, :, k], s=(pm, pn), workers=_fft_workers()) * plan["ghat"][k]
-        out += irfft2(acc, s=(pm, pn), workers=_fft_workers())[:m, :n]
-    return out
+    plan = bank.plan((m, n))
+    pm, pn = plan["pad"]
+    acc = np.zeros((pm, pn // 2 + 1), dtype=np.complex128)
+    for k in range(bank.grid.n_bins):
+        acc += rfft2(data[:, :, k], s=(pm, pn)) * plan["ghat"][k]
+    return irfft2(acc, s=(pm, pn))[:m, :n].copy()
 
 
-def adjoint(d: np.ndarray, obs: Observation, bank: KernelBank, method: str = "auto") -> np.ndarray:
+def adjoint(d: np.ndarray, obs: Observation, bank: KernelBank) -> np.ndarray:
     """Apply the adjoint map: per bin, mask * (kernel_k (*) (weights^2 * d)).
 
     Kernels are symmetric, so convolution doubles as correlation.
@@ -271,20 +255,12 @@ def adjoint(d: np.ndarray, obs: Observation, bank: KernelBank, method: str = "au
     if img.shape != obs.data.shape:
         raise ValueError(f"image shape {img.shape} != observation {obs.data.shape}")
     m, n = img.shape
-    k_bins = bank.grid.n_bins
-    out = np.empty((m, n, k_bins))
-    t = obs.weights * obs.weights * img
-    direct, via_fft = _split_bins(bank, method)
-    for k in direct:
-        out[:, :, k] = _accel.conv2_same(t, bank.kernels[k])
-    if via_fft:
-        plan = bank.plan((m, n))
-        pm, pn = plan["pad"]
-        that = rfft2(t, s=(pm, pn), workers=_fft_workers())
-        for k in via_fft:
-            out[:, :, k] = irfft2(
-                that * plan["ghat"][k], s=(pm, pn), workers=_fft_workers()
-            )[:m, :n]
+    out = np.empty((m, n, bank.grid.n_bins))
+    plan = bank.plan((m, n))
+    pm, pn = plan["pad"]
+    that = rfft2(obs.weights * obs.weights * img, s=(pm, pn))
+    for k in range(bank.grid.n_bins):
+        out[:, :, k] = irfft2(that * plan["ghat"][k], s=(pm, pn))[:m, :n]
     out *= obs.mask[:, :, None]
     return out
 

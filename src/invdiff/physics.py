@@ -21,7 +21,6 @@ import numpy as np
 import scipy.special as sp
 from scipy import integrate
 
-from . import _accel
 from .mathcore import (
     Tabulated1D,
     conv_power_seq,
@@ -360,6 +359,37 @@ class PdeResult:
         return float(self.bound[-1])
 
 
+def _pde_sweep(c0, n_steps, dt, dz, diffusion, kappa_a, kappa_d):
+    """Explicit finite-difference sweep of the 1D depth diffusion model.
+
+    State: free concentration c[0..nz-1] over depth (far node held at zero)
+    and surface-bound amount b. The boundary at node 0 uses a ghost node
+    eliminated via the flux balance -D dc/dz = kd*b - ka*c0.
+    """
+    c = c0.copy()
+    nz = c.shape[0]
+    alpha = diffusion * dt / (dz * dz)
+    bound = np.empty(n_steps + 1)
+    mass = np.empty(n_steps + 1)
+    b = 0.0
+    interior_w = np.ones(nz)
+    interior_w[0] = 0.5
+    interior_w[-1] = 0.5
+    bound[0] = b
+    mass[0] = b + dz * float(interior_w @ c)
+    cn = np.empty_like(c)
+    for s in range(1, n_steps + 1):
+        surf = kappa_d * b - kappa_a * c[0]
+        cn[0] = c[0] + alpha * (2.0 * c[1] - 2.0 * c[0]) + (2.0 * dt / dz) * surf
+        cn[1:-1] = c[1:-1] + alpha * (c[2:] - 2.0 * c[1:-1] + c[:-2])
+        cn[-1] = 0.0
+        b = b + dt * (kappa_a * c[0] - kappa_d * b)
+        c, cn = cn, c
+        bound[s] = b
+        mass[s] = b + dz * float(interior_w @ c)
+    return bound, mass, c
+
+
 def pde_oracle(
     params: PhysicalParams,
     z_max: float | None = None,
@@ -399,7 +429,7 @@ def pde_oracle(
     dt = horizon / n_t
     c0 = np.zeros(n_z + 1)
     c0[1] = 1.0 / dz
-    bound, mass, _ = _accel.pde_sweep(
+    bound, mass, _ = _pde_sweep(
         c0, n_t, dt, dz, dif, params.kappa_a, params.kappa_d
     )
     times = np.linspace(0.0, horizon, n_t + 1)

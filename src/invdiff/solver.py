@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import _accel
 from .operator import (
     KernelBank,
     Observation,
@@ -22,6 +21,7 @@ from .operator import (
     adjoint,
     forward,
     op_norm_estimate,
+    tensor_data,
 )
 
 _STALL_STREAK = 5  # consecutive small relative changes before stopping
@@ -46,8 +46,6 @@ class SolverConfig:
     restart: redo an iteration without momentum whenever it would
         increase the objective (keeps the recorded costs non-increasing)
     power_iters: power-iteration count for the operator norm, >= 20
-    xi_mode: which per-bin penalty weighting to use; only "support"
-        (the 0/1 indicator of the grid's support set) is available
     """
 
     lam: float
@@ -56,7 +54,6 @@ class SolverConfig:
     step_safety: float = 0.95
     restart: bool = True
     power_iters: int = 60
-    xi_mode: str = "support"
 
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
@@ -69,11 +66,6 @@ class SolverConfig:
             raise ValueError(f"step_safety must be in (0, 1], got {self.step_safety}")
         if self.power_iters < 20:
             raise ValueError(f"power_iters must be >= 20, got {self.power_iters}")
-        if self.xi_mode != "support":
-            raise ValueError(
-                "only the support-indicator bin weighting is available; "
-                f"got xi_mode={self.xi_mode!r}"
-            )
 
 
 @dataclass
@@ -103,7 +95,7 @@ class SolveTrace:
 
 def group_norm_sum(a, support_mask: np.ndarray) -> float:
     """Sum over pixels of the Euclidean norm across supported bins."""
-    data = a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
+    data = tensor_data(a)
     sub = data[:, :, np.asarray(support_mask, dtype=bool)]
     return float(np.sqrt(np.einsum("mnk,mnk->mn", sub, sub)).sum())
 
@@ -114,7 +106,7 @@ def cost(a, obs: Observation, bank: KernelBank, cfg: SolverConfig):
     reg_term is the raw group-norm sum (not multiplied by lam); total is
     data + lam * reg, or +inf if the tensor violates non-negativity.
     """
-    data = a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
+    data = tensor_data(a)
     res = forward(data, bank) - obs.data
     data_term = float(np.sum((obs.weights * res) ** 2))
     reg_term = group_norm_sum(data, bank.grid.support_mask)
@@ -126,7 +118,7 @@ def cost(a, obs: Observation, bank: KernelBank, cfg: SolverConfig):
 
 def grad_data(a, obs: Observation, bank: KernelBank) -> np.ndarray:
     """Gradient of the weighted data misfit: 2 * adjoint(forward(a) - data)."""
-    data = a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
+    data = tensor_data(a)
     return 2.0 * adjoint(forward(data, bank) - obs.data, obs, bank)
 
 
@@ -147,8 +139,16 @@ def prox_group_nonneg(v: np.ndarray, threshold: float, support_mask: np.ndarray)
     mask = np.ascontiguousarray(support_mask, dtype=np.bool_)
     if mask.shape != (arr.shape[2],):
         raise ValueError("support_mask length must equal the bin count")
-    rows = arr.reshape(-1, arr.shape[2])
-    out = _accel.prox_rows(rows, float(threshold), mask)
+    out = np.maximum(arr.reshape(-1, arr.shape[2]), 0.0)
+    if threshold != 0.0:
+        sub = out[:, mask]
+        norms = np.sqrt(np.einsum("ij,ij->i", sub, sub))
+        # a pixel whose norm overflowed becomes NaN, so the objective
+        # reports the divergence instead of a divide warning
+        finite = np.isfinite(norms)
+        scale = np.where(finite, 0.0, np.nan)
+        np.divide(norms - threshold, norms, out=scale, where=finite & (norms > threshold))
+        out[:, mask] = sub * scale[:, None]
     return out.reshape(arr.shape)
 
 

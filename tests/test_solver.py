@@ -50,7 +50,6 @@ class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(lam=0.1)
         assert cfg.restart is True
-        assert cfg.xi_mode == "support"
 
     def test_validation(self):
         with pytest.raises(ValueError, match="lam"):
@@ -63,8 +62,6 @@ class TestSolverConfig:
             SolverConfig(lam=0.1, step_safety=1.5)
         with pytest.raises(ValueError, match="power_iters"):
             SolverConfig(lam=0.1, power_iters=3)
-        with pytest.raises(ValueError, match="xi_mode"):
-            SolverConfig(lam=0.1, xi_mode="global")
 
 
 class TestCost:
