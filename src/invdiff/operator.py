@@ -4,8 +4,14 @@ A bound-particle image is modeled as a sum over scale bins: each slice of a
 scale-resolved source tensor is convolved with a pixel-integrated Gaussian
 kernel for its bin and the results are added. This module builds those
 kernels (exact pixel integration, Gauss-Legendre averaging across each bin)
-and applies the forward map and its adjoint, both by FFT on a zero-padded
-panel.
+and applies the forward map and its adjoint by FFT on a zero-padded panel.
+
+Each kernel is a weighted sum of separable outer products of a profile that
+is even in the offset, so it is built as one small matmul over the quarter
+offsets 0..r and mirrored. The image transforms skip the all-zero pad rows:
+a real FFT runs along each of the M data rows to the padded width, then a
+complex FFT down the columns to the padded height; the inverse takes the
+column pass first and runs the real inverse on the M kept rows only.
 """
 
 from __future__ import annotations
@@ -13,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import next_fast_len, rfft2, irfft2
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 
 from .mathcore import omega
 
@@ -190,8 +196,11 @@ def build_kernel_bank(
 
     Kernel k is (1/sqrt(width_k)) * integral over the bin of the separable
     pixel response at scale sigma + psf_sigma, evaluated by Gauss-Legendre
-    quadrature. Each kernel is exactly symmetric under axis swap and flips,
-    and its total mass is sqrt(width_k) up to tail truncation.
+    quadrature. The response is even in the offset, so the quadrature sum
+    of outer products is formed once on the quarter offsets 0..r as
+    rows.T @ diag(weights) @ rows (rank quad_order) and mirrored to the full
+    (2r+1) x (2r+1) kernel. Each kernel is exactly symmetric under axis swap
+    and flips, and its total mass is sqrt(width_k) up to tail truncation.
     """
     if not (np.isfinite(psf_sigma) and psf_sigma >= 0):
         raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
@@ -206,12 +215,15 @@ def build_kernel_bank(
         r = kernel_radius(hi, psf_sigma)
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        acc = np.zeros((2 * r + 1, 2 * r + 1))
-        offsets = np.arange(-r, r + 1)
-        for x, w in zip(nodes, wts):
-            row = omega(float(mid + half * x) + psf_sigma, offsets)
-            acc += (w * half) * np.outer(row, row)
-        g = acc / np.sqrt(hi - lo)
+        offsets = np.arange(r + 1)
+        rows = np.stack(
+            [omega(float(mid + half * x) + psf_sigma, offsets) for x in nodes]
+        )
+        q = (rows.T * (wts * half)) @ rows
+        # the matmul need not round q[i, j] and q[j, i] alike
+        q = np.triu(q) + np.triu(q, 1).T
+        idx = np.abs(np.arange(-r, r + 1))
+        g = q[idx][:, idx] / np.sqrt(hi - lo)
         np.maximum(g, 0.0, out=g)
         g.setflags(write=False)
         kernels.append(g)
@@ -230,6 +242,22 @@ def tensor_data(a) -> np.ndarray:
     return a.data if isinstance(a, PsdrTensor) else np.asarray(a, dtype=np.float64)
 
 
+def _spectrum(img: np.ndarray, pad: tuple[int, int]) -> np.ndarray:
+    """rfft2 of ``img`` zero-padded to ``pad``, skipping the all-zero rows."""
+    pm, pn = pad
+    return fft(rfft(img, n=pn, axis=1), n=pm, axis=0)
+
+
+def _crop_inverse(spec: np.ndarray, shape: tuple[int, int], pad: tuple[int, int]):
+    """irfft2 of ``spec`` on the ``pad`` panel, cropped to ``shape``.
+
+    Only the kept rows are inverted along the row axis; ``n=`` is needed
+    because an odd padded width is not recoverable from the half spectrum.
+    """
+    m, n = shape
+    return irfft(ifft(spec, axis=0)[:m], n=pad[1], axis=1)[:, :n]
+
+
 def forward(a, bank: KernelBank) -> np.ndarray:
     """Apply the imaging operator: sum over bins of kernel_k (*) a[:, :, k]."""
     data = tensor_data(a)
@@ -239,11 +267,11 @@ def forward(a, bank: KernelBank) -> np.ndarray:
         )
     m, n, _ = data.shape
     plan = bank.plan((m, n))
-    pm, pn = plan["pad"]
-    acc = np.zeros((pm, pn // 2 + 1), dtype=np.complex128)
+    pad = plan["pad"]
+    acc = np.zeros((pad[0], pad[1] // 2 + 1), dtype=np.complex128)
     for k in range(bank.grid.n_bins):
-        acc += rfft2(data[:, :, k], s=(pm, pn)) * plan["ghat"][k]
-    return irfft2(acc, s=(pm, pn))[:m, :n].copy()
+        acc += _spectrum(data[:, :, k], pad) * plan["ghat"][k]
+    return _crop_inverse(acc, (m, n), pad).copy()
 
 
 def adjoint(d: np.ndarray, obs: Observation, bank: KernelBank) -> np.ndarray:
@@ -257,18 +285,27 @@ def adjoint(d: np.ndarray, obs: Observation, bank: KernelBank) -> np.ndarray:
     m, n = img.shape
     out = np.empty((m, n, bank.grid.n_bins))
     plan = bank.plan((m, n))
-    pm, pn = plan["pad"]
-    that = rfft2(obs.weights * obs.weights * img, s=(pm, pn))
+    pad = plan["pad"]
+    that = _spectrum(obs.weights * obs.weights * img, pad)
     for k in range(bank.grid.n_bins):
-        out[:, :, k] = irfft2(that * plan["ghat"][k], s=(pm, pn))[:m, :n]
+        out[:, :, k] = _crop_inverse(that * plan["ghat"][k], (m, n), pad)
     out *= obs.mask[:, :, None]
     return out
 
 
+def weighted_misfit(fwd: np.ndarray, obs: Observation) -> float:
+    """Squared weighted misfit sum(weights^2 * (fwd - data)^2) of an image.
+
+    A sum too large for a float is +inf, without an overflow warning, so a
+    diverging solve reports a non-finite objective.
+    """
+    with np.errstate(over="ignore"):
+        return float(np.sum((obs.weights * (fwd - obs.data)) ** 2))
+
+
 def weighted_residual_norm_sq(a, obs: Observation, bank: KernelBank) -> float:
     """Squared weighted misfit sum(weights^2 * (forward(a) - data)^2)."""
-    res = forward(a, bank) - obs.data
-    return float(np.sum((obs.weights * res) ** 2))
+    return weighted_misfit(forward(a, bank), obs)
 
 
 def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> float:

@@ -22,6 +22,8 @@ from .operator import (
     forward,
     op_norm_estimate,
     tensor_data,
+    weighted_misfit,
+    weighted_residual_norm_sq,
 )
 
 _STALL_STREAK = 5  # consecutive small relative changes before stopping
@@ -107,8 +109,7 @@ def cost(a, obs: Observation, bank: KernelBank, cfg: SolverConfig):
     data + lam * reg, or +inf if the tensor violates non-negativity.
     """
     data = tensor_data(a)
-    res = forward(data, bank) - obs.data
-    data_term = float(np.sum((obs.weights * res) ** 2))
+    data_term = weighted_residual_norm_sq(data, obs, bank)
     reg_term = group_norm_sum(data, bank.grid.support_mask)
     total = data_term + cfg.lam * reg_term
     if (data < 0).any():
@@ -199,8 +200,7 @@ def fista_solve(
     step = cfg.step_safety / l_data if l_data > 0 else 1.0
 
     def eval_cost(tensor, fwd):
-        res = fwd - obs.data
-        dterm = float(np.sum((obs.weights * res) ** 2))
+        dterm = weighted_misfit(fwd, obs)
         rterm = group_norm_sum(tensor, support)
         return dterm + cfg.lam * rterm, dterm, rterm
 

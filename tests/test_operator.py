@@ -20,6 +20,7 @@ from invdiff import (
     default_config,
     forward,
     kernel_radius,
+    omega,
     op_norm_estimate,
     weighted_residual_norm_sq,
 )
@@ -27,13 +28,33 @@ from invdiff import (
 GRID = SigmaGrid(boundaries=(0.0, 2.0, 5.0, 10.0), support_set=(1, 2, 3))
 
 # radii 14 and 62: square, wide and tall images where the wide bin (and on
-# the 12-row image both bins) reach past the image on one or both axes
+# the 12-row image both bins) reach past the image on one or both axes; the
+# 23 x 13 image plans an odd pad on both axes, (45, 25)
 ORACLE_GRID = SigmaGrid(boundaries=(0.0, 2.0, 10.0), support_set=(1, 2))
-ORACLE_SHAPES = ((20, 20), (12, 90), (70, 33))
+ORACLE_SHAPES = ((20, 20), (12, 90), (70, 33), (23, 13))
+ODD_PAD_SHAPE, ODD_PAD = (23, 13), (45, 25)
 
 
 def _rel_err(got, want):
     return np.abs(got - want).max() / np.abs(want).max()
+
+
+def _outer_product_kernels(grid, psf_sigma, quad_order=16):
+    """Kernels summed node by node from full (2r+1)^2 outer products."""
+    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
+    out = []
+    b = grid.boundaries
+    for k in range(grid.n_bins):
+        lo, hi = b[k], b[k + 1]
+        r = kernel_radius(hi, psf_sigma)
+        half, mid = 0.5 * (hi - lo), 0.5 * (hi + lo)
+        offsets = np.arange(-r, r + 1)
+        acc = np.zeros((2 * r + 1, 2 * r + 1))
+        for x, w in zip(nodes, wts):
+            row = omega(float(mid + half * x) + psf_sigma, offsets)
+            acc += (w * half) * np.outer(row, row)
+        out.append(np.maximum(acc / np.sqrt(hi - lo), 0.0))
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +141,22 @@ class TestKernelBank:
         for k, w in zip(bank.kernels, GRID.widths):
             assert abs(k.sum() - np.sqrt(w)) <= 1e-6
 
+    @pytest.mark.parametrize("psf_sigma", [0.0, 2.0])
+    def test_matches_outer_product_oracle(self, psf_sigma):
+        b = build_kernel_bank(GRID, psf_sigma=psf_sigma)
+        for got, want in zip(b.kernels, _outer_product_kernels(GRID, psf_sigma)):
+            assert got.shape == want.shape
+            assert _rel_err(got, want) <= 1e-14
+
+    def test_default_grid_matches_outer_product_oracle(self):
+        cfg = default_config()
+        grid = cfg.sigma_grid()
+        b = build_kernel_bank(grid, cfg.psf_sigma, cfg.quad_order)
+        assert b.radii[-1] == 422
+        want = _outer_product_kernels(grid, cfg.psf_sigma, cfg.quad_order)
+        for got, ref in zip(b.kernels, want):
+            assert _rel_err(got, ref) <= 1e-14
+
     def test_quadrature_converged(self):
         b16 = build_kernel_bank(GRID, psf_sigma=0.0, quad_order=16)
         b32 = build_kernel_bank(GRID, psf_sigma=0.0, quad_order=32)
@@ -202,6 +239,8 @@ class TestForward:
     def test_matches_convolve2d_oracle(self):
         b = build_kernel_bank(ORACLE_GRID)
         assert b.radii == (14, 62)
+        # an odd padded width needs irfft's explicit length
+        assert b.plan(ODD_PAD_SHAPE)["pad"] == ODD_PAD
         rng = np.random.default_rng(3)
         for shape in ORACLE_SHAPES:
             a = rng.random(shape + (2,))
@@ -243,6 +282,7 @@ class TestAdjoint:
 
     def test_matches_convolve2d_oracle(self):
         b = build_kernel_bank(ORACLE_GRID)
+        assert b.plan(ODD_PAD_SHAPE)["pad"] == ODD_PAD
         rng = np.random.default_rng(4)
         for shape in ORACLE_SHAPES:
             obs = Observation(

@@ -5,6 +5,8 @@ quasi-Newton minimization for the proximal map, long-run references and
 first-order optimality conditions for the full iteration.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -88,6 +90,18 @@ class TestCost:
         total, dterm, _ = cost(a, obs, bank, SolverConfig(lam=0.1))
         assert total == np.inf
         assert np.isfinite(dterm)
+
+    def test_overflowing_misfit_is_inf_without_warning(self, bank):
+        # a diverging iterate must reach SolverDivergenceError as a
+        # non-finite objective, not as an overflow warning from the square
+        _, obs = _instance(bank, seed=1)
+        a = np.zeros((24, 24, 3))
+        a[10, 10, 1] = 1e160
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            total, dterm, _ = cost(a, obs, bank, SolverConfig(lam=0.1))
+        assert total == np.inf
+        assert dterm == np.inf
 
 
 class TestGradient:
