@@ -31,67 +31,56 @@ def _to_int(key, text):
         raise ValueError(f"config key {key}: expected an integer, got {text!r}") from None
 
 
-def _to_bool(key, text):
-    low = text.strip().lower()
-    if low in ("true", "yes", "1", "on"):
-        return True
-    if low in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"config key {key}: expected true/false, got {text!r}")
-
-
 def _to_str(key, text):
     return text.strip()
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Typed view of a configuration file; see _SCHEMA for defaults."""
+    """Typed view of a configuration file; every field holds its key's default."""
 
     # transport / imaging physics
-    kappa_a: float
-    kappa_d: float
-    diffusion: float
-    horizon: float
-    pixel_pitch: float
-    psf_sigma: float
+    kappa_a: float = 2e-7
+    kappa_d: float = 0.0
+    diffusion: float = 1e-10
+    horizon: float = 3600.0
+    pixel_pitch: float = 1e-5
+    psf_sigma: float = 0.0
     # image geometry
-    rows: int
-    cols: int
+    rows: int = 128
+    cols: int = 128
     # scale grid
-    sigma_boundaries: str
-    support_bins: str
+    sigma_boundaries: str = "0,2,15,20,30,40,50,70"
+    support_bins: str = "1,2,3,4,5,6,7"
     # free-motion-time tabulation
-    tau_steps: int
-    phi_eps: float
+    tau_steps: int = 4096
+    phi_eps: float = 1e-6
     # kernel construction
-    quad_order: int
-    # reconstruction
-    lam: float
-    max_iters: int
-    rel_tol: float
-    step_safety: float
-    restart: bool
-    power_iters: int
+    quad_order: int = 16
+    # reconstruction (file key "lambda")
+    lam: float = 1e-3
+    max_iters: int = 500
+    rel_tol: float = 1e-6
+    power_iters: int = 60
     # camera
-    noise_sigma: float
-    bits: int
+    noise_sigma: float = 0.01
+    bits: int = 12
     # synthetic emitters
-    num_sources: int
-    source_rate: float
-    source_t_start: float
-    source_t_stop: float
-    source_min_separation: float
-    border_margin: int
-    sources: str
+    num_sources: int = 20
+    source_rate: float = 1.0
+    source_t_start: float = 0.0
+    source_t_stop: float = -1.0
+    source_min_separation: float = 10.0
+    border_margin: int = 12
+    sources: str = ""
     # detection / scoring
-    detect_rel_threshold: float
-    detect_min_separation: int
-    match_radius: float
+    detect_rel_threshold: float = 0.05
+    detect_min_separation: int = 4
+    match_radius: float = 4.0
     # misc
-    seed: int
-    weights_path: str
-    mask_path: str
+    seed: int = 12345
+    weights_path: str = ""
+    mask_path: str = ""
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -118,8 +107,6 @@ class RunConfig:
             lam=self.lam,
             max_iters=self.max_iters,
             rel_tol=self.rel_tol,
-            step_safety=self.step_safety,
-            restart=self.restart,
             power_iters=self.power_iters,
         )
 
@@ -166,48 +153,12 @@ def _parse_int_list(key, text):
     return [_to_int(key, s) for s in items]
 
 
-# key -> (converter, default); key "lambda" maps to field "lam"
-_SCHEMA = {
-    "kappa_a": (_to_float, 2e-7),
-    "kappa_d": (_to_float, 0.0),
-    "diffusion": (_to_float, 1e-10),
-    "horizon": (_to_float, 3600.0),
-    "pixel_pitch": (_to_float, 1e-5),
-    "psf_sigma": (_to_float, 0.0),
-    "rows": (_to_int, 128),
-    "cols": (_to_int, 128),
-    "sigma_boundaries": (_to_str, "0,2,15,20,30,40,50,70"),
-    "support_bins": (_to_str, "1,2,3,4,5,6,7"),
-    "tau_steps": (_to_int, 4096),
-    "phi_eps": (_to_float, 1e-6),
-    "quad_order": (_to_int, 16),
-    "lambda": (_to_float, 1e-3),
-    "max_iters": (_to_int, 500),
-    "rel_tol": (_to_float, 1e-6),
-    "step_safety": (_to_float, 0.95),
-    "restart": (_to_bool, True),
-    "power_iters": (_to_int, 60),
-    "noise_sigma": (_to_float, 0.01),
-    "bits": (_to_int, 12),
-    "num_sources": (_to_int, 20),
-    "source_rate": (_to_float, 1.0),
-    "source_t_start": (_to_float, 0.0),
-    "source_t_stop": (_to_float, -1.0),
-    "source_min_separation": (_to_float, 10.0),
-    "border_margin": (_to_int, 12),
-    "sources": (_to_str, ""),
-    "detect_rel_threshold": (_to_float, 0.05),
-    "detect_min_separation": (_to_int, 4),
-    "match_radius": (_to_float, 4.0),
-    "seed": (_to_int, 12345),
-    "weights_path": (_to_str, ""),
-    "mask_path": (_to_str, ""),
+# file key -> (field, converter); the converter follows the field's annotation
+_CONVERTERS = {"float": _to_float, "int": _to_int, "str": _to_str}
+_KEYS = {
+    ("lambda" if f.name == "lam" else f.name): (f.name, _CONVERTERS[f.type])
+    for f in fields(RunConfig)
 }
-
-_KEY_TO_FIELD = {key: ("lam" if key == "lambda" else key) for key in _SCHEMA}
-
-# sanity: schema and dataclass must agree
-assert sorted(_KEY_TO_FIELD.values()) == sorted(f.name for f in fields(RunConfig))
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
@@ -222,17 +173,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> RunConfig:
         key, _, val = line.partition("=")
         key = key.strip()
         val = val.strip()
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ValueError(f"{origin}:{lineno}: unknown config key {key!r}")
-        if key in values:
+        name, conv = _KEYS[key]
+        if name in values:
             raise ValueError(f"{origin}:{lineno}: duplicate config key {key!r}")
-        conv, _default = _SCHEMA[key]
-        values[key] = conv(key, val)
-    merged = {
-        _KEY_TO_FIELD[key]: values.get(key, default)
-        for key, (_conv, default) in _SCHEMA.items()
-    }
-    return RunConfig(**merged)
+        values[name] = conv(key, val)
+    return RunConfig(**values)
 
 
 def parse_config(path) -> RunConfig:
@@ -243,4 +190,4 @@ def parse_config(path) -> RunConfig:
 
 def default_config() -> RunConfig:
     """Configuration with every key at its default."""
-    return parse_config_text("")
+    return RunConfig()

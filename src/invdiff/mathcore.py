@@ -102,15 +102,11 @@ def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
     return out
 
 
-_QUANTILE_EXACT_LIMIT = 1e4
-
-
 def poisson_quantile(p: float, lam: float) -> int:
     """Smallest j with Poisson CDF(j; lam) >= p, for p in (0, 1).
 
-    Up to moderate rates the CDF is accumulated by direct summation of
-    log-space pmf terms. Beyond ``1e4`` a normal-approximation guess brackets
-    the answer and a local search over the regularized-gamma CDF finishes.
+    The continuous inverse of the CDF gives a starting point; a local search
+    over the CDF itself then settles the exact integer.
     """
     if not (0.0 < p < 1.0):
         raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
@@ -118,40 +114,12 @@ def poisson_quantile(p: float, lam: float) -> int:
         raise ValueError(f"lam must be finite and >= 0, got {lam}")
     if lam == 0.0:
         return 0
-    if lam <= _QUANTILE_EXACT_LIMIT:
-        block = 512
-        start = 0
-        cdf = 0.0
-        while True:
-            js = np.arange(start, start + block, dtype=np.float64)
-            pmf = np.exp(js * np.log(lam) - lam - sp.gammaln(js + 1.0))
-            csum = cdf + np.cumsum(pmf)
-            hit = np.nonzero(csum >= p)[0]
-            if hit.size:
-                return start + int(hit[0])
-            cdf = float(csum[-1])
-            start += block
-            if start > lam + 200.0 * np.sqrt(lam) + 2000.0:
-                # float CDF has saturated at 1 > p by here for any p < 1
-                return start
-    # Cornish-Fisher style initial guess, then scan. CDF(j) = Q(j+1, lam)
-    # via the regularized upper incomplete gamma function.
-    z = sp.ndtri(p)
-    guess = int(lam + z * np.sqrt(lam) + (z * z - 1.0) / 6.0)
-    width = int(8.0 * np.sqrt(lam) + 10.0)
-    lo = max(0, guess - width)
-    while lo > 0 and sp.gammaincc(lo + 1.0, lam) >= p:
-        lo = max(0, lo - width)
-    hi = max(lo, guess) + width
-    while sp.gammaincc(hi + 1.0, lam) < p:
-        hi += width
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if sp.gammaincc(mid + 1.0, lam) >= p:
-            hi = mid
-        else:
-            lo = mid + 1
-    return int(lo)
+    j = max(int(np.ceil(sp.pdtrik(p, lam))), 0)
+    while j > 0 and sp.pdtr(j - 1, lam) >= p:
+        j -= 1
+    while sp.pdtr(j, lam) < p:
+        j += 1
+    return j
 
 
 @dataclass(frozen=True)

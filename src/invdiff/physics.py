@@ -288,19 +288,8 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     horizon = params.horizon
     step = horizon / tau_steps
     tau = (np.arange(tau_steps) + 0.5) * step
-    if params.kappa_a == 0.0:
-        zero = np.zeros(tau_steps)
-        return PhiTable(
-            params=params, eps=float(eps), j_max=1, norm_sq=0.0,
-            tau_grid=tau, values=zero, powers=zero[None, :].copy(),
-        )
     base_vals = np.asarray(phi_no_desorption(tau, params))
     norm_sq = phi_norm_sq(params, step / 2.0)
-    if params.kappa_d == 0.0:
-        return PhiTable(
-            params=params, eps=float(eps), j_max=1, norm_sq=norm_sq,
-            tau_grid=tau, values=base_vals.copy(), powers=base_vals[None, :].copy(),
-        )
     j_eps = truncation_order(eps, params, norm_sq)
     n_gen = max(j_eps - 1, 1)
     base = Tabulated1D(

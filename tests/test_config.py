@@ -1,5 +1,7 @@
 """Unit tests for the key = value run configuration."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -34,6 +36,16 @@ class TestDefaults:
         assert g.support_mask.all()
         assert g.sigma_max <= cfg.physical_params().sigma_max_px
 
+    def test_empty_text_is_default(self):
+        assert parse_config_text("") == RunConfig()
+        assert default_config() == RunConfig()
+
+    def test_every_key_parses_its_default(self):
+        # each field's annotation must name a converter that reads its default back
+        for f in fields(RunConfig):
+            key = "lambda" if f.name == "lam" else f.name
+            assert parse_config_text(f"{key} = {f.default}") == RunConfig(), key
+
     def test_frozen(self):
         cfg = default_config()
         with pytest.raises(AttributeError):
@@ -49,14 +61,14 @@ class TestParsing:
             cols = 16
 
             kappa_a = 1.5e-7   # trailing comment
-            restart = false
+            power_iters = 25
             sigma_boundaries = 0, 2, 4
             support_bins = 1, 2
             """
         )
         assert cfg.shape == (32, 16)
         assert cfg.kappa_a == 1.5e-7
-        assert cfg.restart is False
+        assert cfg.power_iters == 25
         g = cfg.sigma_grid()
         assert g.n_bins == 2
         np.testing.assert_array_equal(g.support_mask, [True, True])
@@ -86,9 +98,11 @@ class TestParsing:
         with pytest.raises(ValueError, match="expected an integer"):
             parse_config_text("rows = 4.5")
 
-    def test_bad_bool(self):
-        with pytest.raises(ValueError, match="expected true/false"):
-            parse_config_text("restart = maybe")
+    def test_removed_solver_keys_are_unknown(self):
+        with pytest.raises(ValueError, match=r":2: unknown config key 'restart'"):
+            parse_config_text("rows = 4\nrestart = true\n")
+        with pytest.raises(ValueError, match=r":1: unknown config key 'step_safety'"):
+            parse_config_text("step_safety = 0.9")
 
     def test_parse_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -109,10 +123,10 @@ class TestDerivedObjects:
         assert p.horizon == 3600.0
 
     def test_solver_config(self):
-        sc = parse_config_text("lambda = 2.0\nmax_iters = 7\nrestart = false").solver_config()
+        sc = parse_config_text("lambda = 2.0\nmax_iters = 7\nrel_tol = 1e-8").solver_config()
         assert sc.lam == 2.0
         assert sc.max_iters == 7
-        assert sc.restart is False
+        assert sc.rel_tol == 1e-8
 
     def test_sigma_grid_rejects_empty_lists(self):
         with pytest.raises(ValueError, match="empty list"):

@@ -6,7 +6,7 @@ quadrature on independent integral representations (see each test).
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from invdiff.mathcore import (
     Tabulated1D,
@@ -172,12 +172,19 @@ class TestPoissonQuantile:
                 assert stats.poisson.cdf(j - 1, lam) < p
 
     def test_large_rate_branch(self):
-        # beyond the exact-summation limit the gamma-CDF branch takes over
+        # large rates, where the CDF is far from a short sum of terms
         for lam in (2e4, 1.3e5):
             for p in (1e-4, 0.5, 1.0 - 1e-4):
                 got = poisson_quantile(p, lam)
                 want = int(stats.poisson.ppf(p, lam))
                 assert got == want, (p, lam)
+
+    def test_definition_holds_next_to_one(self):
+        # a summed CDF saturates below p here; the answer is 100, not 3584
+        p, lam = 1.0 - 1.8e-15, 40.792861852522485
+        j = poisson_quantile(p, lam)
+        assert special.pdtr(j, lam) >= p > special.pdtr(j - 1, lam)
+        assert j == 100
 
     def test_zero_rate(self):
         assert poisson_quantile(0.3, 0.0) == 0

@@ -174,9 +174,10 @@ class TestPhiTable:
         assert phi.j_max == 1
 
     def test_zero_capture_is_zero_table(self):
-        phi = phi_general(params(kappa_a=0.0, kappa_d=1e-3), tau_steps=64)
-        assert phi.values.max() == 0.0
-        assert phi.mass() == 0.0
+        for kd in (1e-3, 0.0):
+            phi = phi_general(params(kappa_a=0.0, kappa_d=kd), tau_steps=64)
+            assert phi.values.max() == 0.0
+            assert phi.mass() == 0.0
 
     def test_mass_no_escape_matches_closed_form(self):
         p = params(kappa_a=2e-6)
