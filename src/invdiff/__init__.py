@@ -19,12 +19,9 @@ from .detect import (
 )
 from .mathcore import (
     Tabulated1D,
-    conv_power,
     conv_power_seq,
     erfcx,
-    normal_cdf,
     omega,
-    poisson_pmf,
     poisson_quantile,
 )
 from .operator import (
@@ -84,12 +81,9 @@ __all__ = [
     "find_sources",
     "match_and_score",
     "Tabulated1D",
-    "conv_power",
     "conv_power_seq",
     "erfcx",
-    "normal_cdf",
     "omega",
-    "poisson_pmf",
     "poisson_quantile",
     "KernelBank",
     "Observation",

@@ -3,6 +3,8 @@
 Everything in this module is a pure function of its arguments. The pixel
 response ``omega`` and the Poisson helpers are the numeric bedrock for kernel
 construction and for the desorption-series tabulation in :mod:`invdiff.physics`.
+The convolution powers of a tabulated density take one path at every table
+size: real FFTs padded to cover the linear convolution, so no sample wraps.
 """
 
 from __future__ import annotations
@@ -10,8 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import signal
 from scipy import special as sp
+from scipy.fft import irfft, next_fast_len, rfft
 
 
 def _as_float_array(x, name: str) -> np.ndarray:
@@ -31,13 +33,6 @@ def erfcx(x):
     if (arr < 0).any():
         raise ValueError("erfcx is only used on x >= 0")
     out = sp.erfcx(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
-
-
-def normal_cdf(x):
-    """Standard normal cumulative distribution function."""
-    arr = _as_float_array(x, "x")
-    out = sp.ndtr(arr)
     return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
@@ -74,18 +69,6 @@ def omega(sigma: float, m):
         )
         out = np.maximum(sigma * trip, 0.0)
     return float(out[0]) if scalar else out
-
-
-def poisson_pmf(j: int, lam: float) -> float:
-    """Poisson probability mass lam^j * exp(-lam) / j!, computed in log space."""
-    if j != int(j) or j < 0:
-        raise ValueError(f"j must be a non-negative integer, got {j}")
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    j = int(j)
-    if lam == 0.0:
-        return 1.0 if j == 0 else 0.0
-    return float(np.exp(j * np.log(lam) - lam - sp.gammaln(j + 1)))
 
 
 def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
@@ -160,40 +143,24 @@ class Tabulated1D:
         return float(self.step * self.values.sum())
 
 
-def conv_power(tab: Tabulated1D, j: int, max_len: int | None = None) -> Tabulated1D:
-    """j-th convolutional power of a tabulated density.
+def conv_power_seq(tab: Tabulated1D, j_max: int, max_len: int):
+    """Yield (j, power) for j = 1..j_max: the j-th convolutional power of a
+    tabulated density, each built from the previous one.
 
     Discrete convolutions are scaled by the grid step so the result
     approximates the continuous j-fold self-convolution. Both operands have
-    one-sided support, so truncating every intermediate to ``max_len`` samples
-    leaves the retained range exact while bounding the cost. The output grid
-    origin is j times the input origin.
+    one-sided support, so truncating every power to ``max_len`` samples
+    leaves the retained range exact while bounding the cost; the FFT pad
+    covers the full linear convolution of a ``max_len`` prefix with the
+    table. The output grid origin is j times the input origin.
     """
-    if j != int(j) or int(j) < 1:
-        raise ValueError(f"power must be an integer >= 1, got {j}")
-    j = int(j)
-    out = tab.values.copy()
-    if max_len is not None:
-        out = out[:max_len]
-    for _ in range(j - 1):
-        out = signal.convolve(out, tab.values, method="auto") * tab.step
-        out = np.maximum(out, 0.0)
-        if max_len is not None:
-            out = out[:max_len]
-    return Tabulated1D(out, tab.step, tab.origin_offset * j)
-
-
-def conv_power_seq(tab: Tabulated1D, j_max: int, max_len: int | None = None):
-    """Yield (j, power) for j = 1..j_max, reusing each previous power."""
     if j_max < 1:
         raise ValueError(f"j_max must be >= 1, got {j_max}")
-    cur = tab.values.copy()
-    if max_len is not None:
-        cur = cur[:max_len]
+    pad = next_fast_len(max_len + tab.values.size - 1, real=True)
+    base_hat = rfft(tab.values, pad)
+    cur = tab.values[:max_len].copy()
     yield 1, Tabulated1D(cur, tab.step, tab.origin_offset)
     for j in range(2, j_max + 1):
-        cur = signal.convolve(cur, tab.values, method="auto") * tab.step
+        cur = irfft(rfft(cur, pad) * base_hat, pad)[:max_len] * tab.step
         cur = np.maximum(cur, 0.0)
-        if max_len is not None:
-            cur = cur[:max_len]
         yield j, Tabulated1D(cur, tab.step, tab.origin_offset * j)

@@ -116,9 +116,6 @@ def phi_no_desorption(tau, params: PhysicalParams):
     if (t <= 0).any():
         raise ValueError("tau must be > 0")
     ka, dif = params.kappa_a, params.diffusion
-    if ka == 0.0:
-        out = np.zeros_like(t)
-        return out if out.ndim else float(out)
     root = np.sqrt(t / dif)
     out = ka / np.sqrt(np.pi * dif * t) - (ka * ka / dif) * erfcx(ka * root)
     out = np.maximum(out, 0.0)
@@ -130,10 +127,7 @@ def capture_fraction(tau, params: PhysicalParams):
     t = np.asarray(tau, dtype=np.float64)
     if (t < 0).any() or not np.isfinite(t).all():
         raise ValueError("tau must be finite and >= 0")
-    if params.kappa_a == 0.0:
-        out = np.zeros_like(t)
-    else:
-        out = 1.0 - np.asarray(erfcx(params.kappa_a * np.sqrt(t / params.diffusion)))
+    out = 1.0 - np.asarray(erfcx(params.kappa_a * np.sqrt(t / params.diffusion)))
     return out if out.ndim else float(out)
 
 
@@ -146,8 +140,6 @@ def phi_norm_sq(params: PhysicalParams, tau_floor: float) -> float:
     """
     if not (np.isfinite(tau_floor) and tau_floor > 0):
         raise ValueError(f"tau_floor must be finite and > 0, got {tau_floor}")
-    if params.kappa_a == 0.0:
-        return 0.0
 
     def f(t):
         return phi_no_desorption(t, params) ** 2
@@ -169,7 +161,7 @@ def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
         raise ValueError(f"eps must be finite and > 0, got {eps}")
     if not (np.isfinite(norm_sq) and norm_sq >= 0):
         raise ValueError(f"norm_sq must be finite and >= 0, got {norm_sq}")
-    if params.kappa_d == 0.0 or norm_sq == 0.0:
+    if norm_sq == 0.0:
         return 1
     p = 1.0 - eps / norm_sq
     if p <= 0.0:
@@ -225,8 +217,6 @@ class PhiTable:
         remaining generations are smooth and summed at cell midpoints.
         """
         p = self.params
-        if p.kappa_a == 0.0:
-            return 0.0
         first = _first_generation_integral(
             p, 0.0, p.horizon, lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
         )
@@ -245,7 +235,7 @@ def _first_generation_integral(params, tau_lo, tau_hi, factor_fn, kinks=()):
     derivative break; panels never straddle them.
     """
     ka, dif, kd = params.kappa_a, params.diffusion, params.kappa_d
-    if ka == 0.0 or tau_hi <= tau_lo:
+    if tau_hi <= tau_lo:
         return 0.0
     a_coef = ka / np.sqrt(np.pi * dif)
     b_coef = ka * ka / dif

@@ -1,8 +1,14 @@
 """End-to-end tests of the command-line interface and file formats."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import invdiff
 from invdiff import Source
 from invdiff.cli import main
 from invdiff.tensorio import (
@@ -306,3 +312,21 @@ class TestMainPlumbing:
         rc = main(["kernels", "--out", str(tmp_path / "defk")])
         assert rc == 0
         assert (tmp_path / "defk" / "kernel_07.idf").exists()
+
+
+def test_cold_import_skips_scipy_signal_and_stats():
+    # a fresh interpreter: this test process has imported both already
+    src = str(Path(invdiff.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    code = (
+        "import sys, invdiff, invdiff.cli; "
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "[]"

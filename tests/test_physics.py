@@ -99,6 +99,7 @@ class TestCaptureDensity:
         p = params(kappa_a=0.0)
         assert phi_no_desorption(5.0, p) == 0.0
         assert capture_fraction(100.0, p) == 0.0
+        assert phi_norm_sq(p, 0.1) == 0.0
 
     def test_monotone_decreasing_density(self):
         p = params()
@@ -178,6 +179,8 @@ class TestPhiTable:
             phi = phi_general(params(kappa_a=0.0, kappa_d=kd), tau_steps=64)
             assert phi.values.max() == 0.0
             assert phi.mass() == 0.0
+            srcs = [Source(2, 3, 1.0, 0.0, T), Source(5, 6, 2.0, 600.0, 1800.0)]
+            assert not synth_psdr(srcs, GRID, phi, (8, 8)).data.any()
 
     def test_mass_no_escape_matches_closed_form(self):
         p = params(kappa_a=2e-6)
