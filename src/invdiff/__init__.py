@@ -22,7 +22,6 @@ from .mathcore import (
     conv_power_seq,
     erfcx,
     omega,
-    poisson_quantile,
 )
 from .operator import (
     KernelBank,
@@ -84,7 +83,6 @@ __all__ = [
     "conv_power_seq",
     "erfcx",
     "omega",
-    "poisson_quantile",
     "KernelBank",
     "Observation",
     "PsdrTensor",

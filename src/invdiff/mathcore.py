@@ -85,26 +85,6 @@ def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
     return out
 
 
-def poisson_quantile(p: float, lam: float) -> int:
-    """Smallest j with Poisson CDF(j; lam) >= p, for p in (0, 1).
-
-    The continuous inverse of the CDF gives a starting point; a local search
-    over the CDF itself then settles the exact integer.
-    """
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"p must lie strictly inside (0, 1), got {p}")
-    if not np.isfinite(lam) or lam < 0:
-        raise ValueError(f"lam must be finite and >= 0, got {lam}")
-    if lam == 0.0:
-        return 0
-    j = max(int(np.ceil(sp.pdtrik(p, lam))), 0)
-    while j > 0 and sp.pdtr(j - 1, lam) >= p:
-        j -= 1
-    while sp.pdtr(j, lam) < p:
-        j += 1
-    return j
-
-
 @dataclass(frozen=True)
 class Tabulated1D:
     """Non-negative samples of a function on a uniform grid.

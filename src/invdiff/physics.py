@@ -19,15 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
-from scipy import integrate
 
-from .mathcore import (
-    Tabulated1D,
-    conv_power_seq,
-    erfcx,
-    poisson_quantile,
-    _poisson_pmf_row,
-)
+from .mathcore import Tabulated1D, conv_power_seq, erfcx, _poisson_pmf_row
 from .operator import PsdrTensor, SigmaGrid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -136,18 +129,26 @@ def phi_norm_sq(params: PhysicalParams, tau_floor: float) -> float:
 
     The density itself is not square integrable near zero, so the norm is
     taken over (tau_floor, inf); the floor is typically half the tabulation
-    step.
+    step. With c = kappa_a / sqrt(diffusion) and x = c * sqrt(tau) the
+    density is c**2 * h(x) / x, where h(x) = 1/sqrt(pi) - x * erfcx(x), so the
+    norm is 2 * c**2 times the integral of h(x)**2 / x over x > x0 =
+    c * sqrt(tau_floor). In s = ln x that integrand is bounded (it tends to
+    1/pi as s -> -inf) and decays like exp(-4 s) / (4 pi), so it is summed on
+    unit-width Gauss-Legendre panels from ln x0 to s_hi = max(ln x0, 0) + 12,
+    and the tail beyond s_hi adds exp(-4 s_hi) / (16 pi) in closed form.
     """
     if not (np.isfinite(tau_floor) and tau_floor > 0):
         raise ValueError(f"tau_floor must be finite and > 0, got {tau_floor}")
-
-    def f(t):
-        return phi_no_desorption(t, params) ** 2
-
-    mid = max(params.horizon, 2.0 * tau_floor)
-    a, _ = integrate.quad(f, tau_floor, mid, limit=200)
-    b, _ = integrate.quad(f, mid, np.inf, limit=200)
-    return float(a + b)
+    c = params.kappa_a / np.sqrt(params.diffusion)
+    if c == 0.0:
+        return 0.0
+    s_lo = float(np.log(c * np.sqrt(tau_floor)))
+    s_hi = max(s_lo, 0.0) + 12.0
+    s, w = _gl_panels(s_lo, s_hi, int(np.ceil(s_hi - s_lo)))
+    x = np.exp(s)
+    h = 1.0 / np.sqrt(np.pi) - x * erfcx(x)
+    tail = np.exp(-4.0 * s_hi) / (16.0 * np.pi)
+    return float(2.0 * c * c * (np.sum(w * h * h) + tail))
 
 
 def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
@@ -155,7 +156,8 @@ def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
 
     Returns the smallest order J such that the probability of more than J
     capture/escape rounds within the horizon, scaled by the density norm,
-    stays under eps. With no escape a single generation is exact.
+    stays under eps (at least 1). With no escape a single generation is
+    exact.
     """
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
@@ -163,11 +165,12 @@ def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
         raise ValueError(f"norm_sq must be finite and >= 0, got {norm_sq}")
     if norm_sq == 0.0:
         return 1
-    p = 1.0 - eps / norm_sq
-    if p <= 0.0:
-        return 1
+    budget = eps / norm_sq
     lam = params.kappa_d * params.horizon
-    return max(int(poisson_quantile(p, lam)), 1)
+    j = 1
+    while sp.pdtrc(j, lam) > budget:
+        j += 1
+    return j
 
 
 @dataclass(frozen=True)
@@ -225,6 +228,15 @@ class PhiTable:
         return float(first + self.step * np.maximum(rest, 0.0).sum())
 
 
+def _gl_panels(lo, hi, n_pan):
+    """Nodes and weights of ``n_pan`` equal Gauss-Legendre panels on [lo, hi],
+    one row per panel."""
+    edges = np.linspace(lo, hi, n_pan + 1)
+    half = 0.5 * (edges[1:] - edges[:-1])
+    mid = 0.5 * (edges[1:] + edges[:-1])
+    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+
+
 def _first_generation_integral(params, tau_lo, tau_hi, factor_fn, kinks=()):
     """Integrate capture_density(tau) * factor_fn(tau) over [tau_lo, tau_hi].
 
@@ -250,11 +262,7 @@ def _first_generation_integral(params, tau_lo, tau_hi, factor_fn, kinks=()):
         if span <= 0:
             continue
         n_pan = int(np.clip(np.ceil(kd * u_hi * span / 2.0), 4, 512))
-        edges = np.linspace(u_lo, u_hi, n_pan + 1)
-        half = 0.5 * (edges[1:] - edges[:-1])
-        mid = 0.5 * (edges[1:] + edges[:-1])
-        u = mid[:, None] + half[:, None] * _GL_NODES[None, :]
-        w = half[:, None] * _GL_WEIGHTS[None, :]
+        u, w = _gl_panels(u_lo, u_hi, n_pan)
         dens = 2.0 * a_coef - 2.0 * b_coef * u * erfcx(ka * u / np.sqrt(dif))
         total += float(np.sum(w * np.maximum(dens, 0.0) * factor_fn(u * u)))
     return total

@@ -314,13 +314,14 @@ class TestMainPlumbing:
         assert (tmp_path / "defk" / "kernel_07.idf").exists()
 
 
-def test_cold_import_skips_scipy_signal_and_stats():
-    # a fresh interpreter: this test process has imported both already
+def test_cold_import_skips_scipy_signal_stats_and_integrate():
+    # a fresh interpreter: this test process has imported all three already
     src = str(Path(invdiff.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     code = (
         "import sys, invdiff, invdiff.cli; "
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats', 'scipy.integrate') "
+        "if m in sys.modules))"
     )
     out = subprocess.run(
         [sys.executable, "-c", code],

@@ -6,7 +6,7 @@ quadrature on independent integral representations (see each test).
 
 import numpy as np
 import pytest
-from scipy import integrate, special, stats
+from scipy import stats
 
 from invdiff.mathcore import (
     Tabulated1D,
@@ -14,7 +14,6 @@ from invdiff.mathcore import (
     conv_power_seq,
     erfcx,
     omega,
-    poisson_quantile,
 )
 
 
@@ -124,55 +123,6 @@ class TestPoissonPmf:
     def test_extreme_rate_no_overflow(self):
         val = _poisson_pmf_row(11, 5000.0)[10, 0]
         assert 0.0 <= val < 1e-300
-
-
-class TestPoissonQuantile:
-    def test_brute_force_small_rates(self):
-        rng = np.random.default_rng(77)
-        for _ in range(300):
-            lam = float(rng.uniform(0.01, 30.0))
-            p = float(rng.uniform(1e-6, 1.0 - 1e-6))
-            got = poisson_quantile(p, lam)
-            want = int(stats.poisson.ppf(p, lam))
-            assert got == want, (p, lam)
-
-    def test_definition_holds(self):
-        # smallest j with CDF(j) >= p: CDF(got) >= p and CDF(got-1) < p
-        rng = np.random.default_rng(78)
-        for _ in range(100):
-            lam = float(rng.uniform(0.1, 200.0))
-            p = float(rng.uniform(0.001, 0.999))
-            j = poisson_quantile(p, lam)
-            assert stats.poisson.cdf(j, lam) >= p
-            if j > 0:
-                assert stats.poisson.cdf(j - 1, lam) < p
-
-    def test_large_rate_branch(self):
-        # large rates, where the CDF is far from a short sum of terms
-        for lam in (2e4, 1.3e5):
-            for p in (1e-4, 0.5, 1.0 - 1e-4):
-                got = poisson_quantile(p, lam)
-                want = int(stats.poisson.ppf(p, lam))
-                assert got == want, (p, lam)
-
-    def test_definition_holds_next_to_one(self):
-        # a summed CDF saturates below p here; the answer is 100, not 3584
-        p, lam = 1.0 - 1.8e-15, 40.792861852522485
-        j = poisson_quantile(p, lam)
-        assert special.pdtr(j, lam) >= p > special.pdtr(j - 1, lam)
-        assert j == 100
-
-    def test_zero_rate(self):
-        assert poisson_quantile(0.3, 0.0) == 0
-        assert poisson_quantile(0.999, 0.0) == 0
-
-    def test_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            poisson_quantile(0.0, 1.0)
-        with pytest.raises(ValueError):
-            poisson_quantile(1.0, 1.0)
-        with pytest.raises(ValueError):
-            poisson_quantile(0.5, -1.0)
 
 
 class TestTabulated1D:

@@ -1,13 +1,16 @@
 """Unit tests for the surface-binding transport physics.
 
 Independent oracles: closed-form antiderivatives, scipy.integrate quadrature
-of the density definitions, an explicit finite-difference transport solve,
-and brute-force Riemann summation for the emission-window integrals.
+of the density definitions, norms frozen from high-precision mpmath
+quadrature, an explicit finite-difference transport solve, and brute-force
+Riemann summation for the emission-window integrals.
 """
+
+import warnings
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from invdiff import (
     Observation,
@@ -125,6 +128,24 @@ class TestCaptureDensity:
         )
         assert phi_norm_sq(p, floor) == pytest.approx(want, rel=1e-8)
 
+    # (kappa_a, kappa_d, diffusion, horizon), floor horizon / 8192, and the
+    # norm from a 60-digit mpmath quadrature of the density's square
+    @pytest.mark.parametrize(
+        "case, want, rel",
+        [
+            pytest.param((2e-7, 0.0, 1e-10, 3600.0), 6.6268596629957256e-4, 1e-12, id="default"),
+            pytest.param((2e-6, 0.05, 1e-10, 60.0), 6.0102414769050087e-2, 1e-12, id="narrow192"),
+            pytest.param((1e-9, 0.0, 1e-10, 3600.0), 5.0003518302859894e-8, 1e-12, id="weak"),
+            pytest.param((1.0, 0.0, 1e-12, 1e-9), 1.2803378417702167e11, 1e-12, id="ka_one"),
+            # x0 = 4.3e3: cancellation inside 1/sqrt(pi) - x * erfcx(x) bounds it
+            pytest.param((0.1, 0.0, 4e-11, 600.0), 2.9668628511843963e-8, 1e-9, id="strong"),
+        ],
+    )
+    def test_norm_sq_matches_reference(self, case, want, rel):
+        ka, kd, dif, horizon = case
+        p = PhysicalParams(ka, kd, dif, horizon, PITCH)
+        assert phi_norm_sq(p, horizon / 8192) == pytest.approx(want, rel=rel, abs=0.0)
+
     def test_norm_sq_grows_as_floor_shrinks(self):
         # the density is not square integrable at zero, so the norm must
         # increase without bound as the floor tightens
@@ -156,6 +177,22 @@ class TestTruncationOrder:
         o2 = truncation_order(1e-7, p, 0.02)
         assert o2 >= o1
 
+    def test_definition_holds(self):
+        # smallest J >= 1 whose Poisson tail P(N > J) fits the budget
+        # eps / norm_sq, including budgets below the float spacing at 1
+        rng = np.random.default_rng(91)
+        lams = rng.uniform(0.0, 200.0, 300)
+        budgets = 10.0 ** rng.uniform(-20.0, 0.0, 300)
+        cases = [(lam, 1e-6, 1e-6 / b) for lam, b in zip(lams, budgets)]
+        cases += [(lam, 1e-6, 1e11) for lam in (0.0, 1e-6, 3.6, 40.0)]
+        for lam, eps, norm_sq in cases:
+            j = truncation_order(eps, params(kappa_d=lam / T), norm_sq)
+            budget = eps / norm_sq
+            assert j >= 1
+            assert special.pdtrc(j, lam) <= budget, (lam, norm_sq, j)
+            if j > 1:
+                assert special.pdtrc(j - 1, lam) > budget, (lam, norm_sq, j)
+
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):
             truncation_order(0.0, params(), 1.0)
@@ -173,6 +210,18 @@ class TestPhiTable:
         np.testing.assert_array_equal(phi.values, want)
         assert phi.n_generations == 1
         assert phi.j_max == 1
+
+    def test_tiny_tail_budget_tabulates(self):
+        # norm 1.3e11 makes eps / norm_sq smaller than the float spacing at 1
+        for kd in (0.0, 1e-3):
+            p = PhysicalParams(
+                kappa_a=1.0, kappa_d=kd, diffusion=1e-12, horizon=1e-9, pixel_pitch=PITCH
+            )
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                phi = phi_general(p, 4096)
+            assert phi.j_max == 1
+            assert np.isfinite(phi.mass())
 
     def test_zero_capture_is_zero_table(self):
         for kd in (1e-3, 0.0):
