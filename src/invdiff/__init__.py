@@ -33,7 +33,6 @@ from .operator import (
     forward,
     kernel_radius,
     op_norm_estimate,
-    weighted_residual_norm_sq,
 )
 from .physics import (
     PdeResult,
@@ -92,7 +91,6 @@ __all__ = [
     "forward",
     "kernel_radius",
     "op_norm_estimate",
-    "weighted_residual_norm_sq",
     "PdeResult",
     "PhiTable",
     "PhysicalParams",

@@ -153,7 +153,8 @@ def _cmd_solve(args) -> int:
     print(
         f"solve: {trace.iterations} iterations, converged={trace.converged}, "
         f"cost {trace.costs[-1]:.6g} (data {trace.data_terms[-1]:.6g}, "
-        f"reg {trace.reg_terms[-1]:.6g})"
+        f"reg {trace.reg_terms[-1]:.6g}), norm bound {trace.op_norm:.6g}, "
+        f"step {trace.step:.3g}"
     )
     return 0
 

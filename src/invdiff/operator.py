@@ -303,33 +303,30 @@ def weighted_misfit(fwd: np.ndarray, obs: Observation) -> float:
         return float(np.sum((obs.weights * (fwd - obs.data)) ** 2))
 
 
-def weighted_residual_norm_sq(a, obs: Observation, bank: KernelBank) -> float:
-    """Squared weighted misfit sum(weights^2 * (forward(a) - data)^2)."""
-    return weighted_misfit(forward(a, bank), obs)
-
-
 def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> float:
-    """Largest singular value of the weighted, masked operator.
+    """Upper bound on the largest singular value of the weighted, masked operator.
 
-    Power iteration on the normal map a -> adjoint(forward(a)). The returned
-    sequence of estimates is non-decreasing in the iteration count, and the
-    estimate approaches the true norm from below.
+    Power iteration on the image-side map d -> forward(adjoint(d)), started
+    from 1 on the pixels with positive weight. Kernels are clipped at 0, so
+    this map is entrywise non-negative, and on the positive-weight pixels it
+    is similar to the symmetric A A^T. Each iterate's Collatz-Wielandt ratio,
+    the largest (forward(adjoint(d)))_i / d_i over those pixels with d_i > 0,
+    is therefore at least ||A||^2 (a weighted pixel that d never reaches has
+    an all-zero row and column). The square root of the smallest ratio seen
+    is returned: a bound for any ``iters`` >= 1 that never increases with
+    it and closes on the norm as the iterates converge.
     """
-    if iters < 20:
-        raise ValueError(f"iters must be >= 20, got {iters}")
-    m, n = obs.data.shape
-    k = bank.grid.n_bins
-    x = np.broadcast_to(obs.mask[:, :, None], (m, n, k)).copy()
-    nx = np.linalg.norm(x)
-    if nx == 0.0:
-        return 0.0
-    x /= nx
-    lam = 0.0
+    if iters < 1:
+        raise ValueError(f"iters must be >= 1, got {iters}")
+    live = obs.weights > 0
+    d = live.astype(np.float64)
+    bound = np.inf
     for _ in range(iters):
-        y = adjoint(forward(x, bank), obs, bank)
+        y = forward(adjoint(d, obs, bank), bank)
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
-        lam = ny
-        x = y / ny
-    return float(np.sqrt(lam))
+        pos = live & (d > 0)
+        bound = min(bound, float((y[pos] / d[pos]).max()))
+        d = y / ny
+    return float(np.sqrt(bound))

@@ -26,7 +26,6 @@ from .operator import (
 )
 
 _STALL_STREAK = 5  # consecutive small relative changes before stopping
-_STEP_SAFETY = 0.95  # the power-iterated norm approaches the true norm from below
 
 
 class SolverDivergenceError(RuntimeError):
@@ -44,7 +43,7 @@ class SolverConfig:
     lam: group-penalty strength, >= 0
     max_iters: iteration cap, >= 1
     rel_tol: relative objective change considered a stall, > 0
-    power_iters: power-iteration count for the operator norm, >= 20
+    power_iters: power-iteration count of the certified operator-norm bound, >= 1
     """
 
     lam: float
@@ -59,8 +58,8 @@ class SolverConfig:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.rel_tol) and self.rel_tol > 0):
             raise ValueError(f"rel_tol must be finite and > 0, got {self.rel_tol}")
-        if self.power_iters < 20:
-            raise ValueError(f"power_iters must be >= 20, got {self.power_iters}")
+        if self.power_iters < 1:
+            raise ValueError(f"power_iters must be >= 1, got {self.power_iters}")
 
 
 @dataclass
@@ -175,8 +174,9 @@ def fista_solve(
 ):
     """Run the accelerated proximal-gradient reconstruction.
 
-    Returns (PsdrTensor, SolveTrace). The step is 0.95 / (2 * L**2) with L
-    the (given or power-iterated) operator norm. An iteration that would
+    Returns (PsdrTensor, SolveTrace). The step is 1 / (2 * L**2), the
+    inverse Lipschitz constant of the data gradient when L is the given
+    operator norm or op_norm_estimate's upper bound. An iteration that would
     increase the objective is redone without momentum, so the recorded
     objective never increases. Stops early at an exact fixed point or after
     five consecutive iterations whose relative objective change is below
@@ -200,7 +200,7 @@ def fista_solve(
     if not (np.isfinite(op_norm) and op_norm >= 0):
         raise ValueError(f"op_norm must be finite and >= 0, got {op_norm}")
     l_data = 2.0 * op_norm * op_norm
-    step = _STEP_SAFETY / l_data if l_data > 0 else 1.0
+    step = 1.0 / l_data if l_data > 0 else 1.0
 
     # every gradient step is formed in this one buffer: a fresh tensor per
     # step costs thousands of page faults per solve on a 192x192 scene

@@ -221,7 +221,9 @@ class TestSolveDetectEval:
         assert trace_lines[0] == "iter,cost,data,reg,step,restart"
         costs = [float(l.split(",")[1]) for l in trace_lines[1:]]
         assert all(b <= a * (1 + 1e-12) for a, b in zip(costs, costs[1:]))
-        assert "solve:" in capsys.readouterr().out
+        printed = capsys.readouterr().out
+        assert "solve:" in printed and "norm bound " in printed
+        assert f"step {float(trace_lines[1].split(',')[4]):.3g}" in printed
 
     def test_solve_rejects_rank_3(self, cfg_path, synth_dir, tmp_path, capsys):
         rc = main(

@@ -65,7 +65,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="rel_tol"):
             SolverConfig(lam=0.1, rel_tol=0.0)
         with pytest.raises(ValueError, match="power_iters"):
-            SolverConfig(lam=0.1, power_iters=3)
+            SolverConfig(lam=0.1, power_iters=0)
 
 
 class TestCost:
@@ -269,6 +269,23 @@ class TestFistaSolve:
         assert (diffs <= 1e-10 * max(1.0, trace.costs[0])).all()
         assert trace.restarts.shape == trace.costs.shape
         assert trace.op_norm > 0 and trace.step > 0
+
+    def test_step_from_certified_norm_bound(self, bank):
+        # any power-iteration count bounds ||W A M|| from above, and the
+        # step is the exact inverse Lipschitz constant of that bound
+        from norm_oracle import dense_norm
+
+        a, _ = _instance(bank, m=16, n=14, seed=18, noise=0.0, n_spikes=2)
+        rng = np.random.default_rng(18)
+        mask = np.ones((16, 14))
+        mask[:, 10:] = 0.0
+        obs = Observation(forward(a, bank), rng.uniform(0.1, 2.0, (16, 14)), mask)
+        sigma = dense_norm(obs, bank)
+        for power_iters in (1, 3):
+            cfg = SolverConfig(lam=0.1, max_iters=5, power_iters=power_iters)
+            _, trace = fista_solve(obs, bank, cfg)
+            assert trace.op_norm >= sigma * (1 - 1e-12)
+            assert trace.step == 1 / (2 * trace.op_norm**2)
 
     def test_close_to_long_run_reference(self, bank):
         _, obs = _instance(bank, m=32, n=32, seed=6, noise=0.03)
