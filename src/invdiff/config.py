@@ -98,8 +98,8 @@ class RunConfig:
         )
 
     def sigma_grid(self) -> SigmaGrid:
-        bounds = _parse_float_list("sigma_boundaries", self.sigma_boundaries)
-        bins = _parse_int_list("support_bins", self.support_bins)
+        bounds = _parse_list("sigma_boundaries", self.sigma_boundaries, _to_float)
+        bins = _parse_list("support_bins", self.support_bins, _to_int)
         return SigmaGrid(boundaries=np.asarray(bounds), support_set=tuple(bins))
 
     def solver_config(self) -> SolverConfig:
@@ -139,18 +139,11 @@ class RunConfig:
         return out
 
 
-def _parse_float_list(key, text):
+def _parse_list(key, text, conv):
     items = [s.strip() for s in text.split(",") if s.strip()]
     if not items:
         raise ValueError(f"config key {key}: empty list")
-    return [_to_float(key, s) for s in items]
-
-
-def _parse_int_list(key, text):
-    items = [s.strip() for s in text.split(",") if s.strip()]
-    if not items:
-        raise ValueError(f"config key {key}: empty list")
-    return [_to_int(key, s) for s in items]
+    return [conv(key, s) for s in items]
 
 
 # file key -> (field, converter); the converter follows the field's annotation

@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .operator import SigmaGrid, tensor_data
 
@@ -116,7 +115,10 @@ def find_sources(
     )
     if peak <= 0.0:
         return empty
-    local_max = img >= ndimage.maximum_filter(img, size=3, mode="constant", cval=-np.inf)
+    # 3x3 neighbourhood maximum: a max over row shifts, then column shifts
+    pad = np.pad(img, 1, constant_values=-np.inf)
+    rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
+    local_max = img >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     cand = local_max & (img >= rel_threshold * peak) & (img > 0)
     ms, ns = np.nonzero(cand)
     if ms.size == 0:

@@ -72,17 +72,11 @@ def omega(sigma: float, m):
 
 
 def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
-    """pmf values for j = 0..j_count-1 at rates ``lam`` (vectorized, log space)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))
+    """pmf values for j = 0..j_count-1 at rates ``lam`` (vectorized, log space;
+    exact at lam = 0, where xlogy(0, 0) = 0)."""
+    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))[None, :]
     j = np.arange(j_count, dtype=np.float64)[:, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logp = j * np.log(lam[None, :]) - lam[None, :] - sp.gammaln(j + 1.0)
-        out = np.exp(logp)
-    if (lam == 0).any():
-        zero = lam == 0
-        out[:, zero] = 0.0
-        out[0, zero] = 1.0
-    return out
+    return np.exp(sp.xlogy(j, lam) - lam - sp.gammaln(j + 1.0))
 
 
 @dataclass(frozen=True)

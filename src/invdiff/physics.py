@@ -221,8 +221,8 @@ class PhiTable:
         """
         p = self.params
         first = _first_generation_integral(
-            p, 0.0, p.horizon, lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
-        )
+            p, (0.0, p.horizon), lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
+        )[0]
         pois0 = np.exp(-p.kappa_d * (p.horizon - self.tau_grid))
         rest = self.values - self.powers[0] * pois0
         return float(first + self.step * np.maximum(rest, 0.0).sum())
@@ -237,35 +237,27 @@ def _gl_panels(lo, hi, n_pan):
     return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
 
 
-def _first_generation_integral(params, tau_lo, tau_hi, factor_fn, kinks=()):
-    """Integrate capture_density(tau) * factor_fn(tau) over [tau_lo, tau_hi].
+def _first_generation_integral(params, cuts, factor_fn) -> np.ndarray:
+    """Integrate capture_density(tau) * factor_fn(tau) between consecutive cuts.
 
-    Uses the substitution u = sqrt(tau), under which the integrand is
-    bounded and smooth, with composite Gauss-Legendre panels sized to
-    resolve both the substitution and any exp(-kappa_d * ...) variation in
-    the factor. ``kinks`` lists interior tau values where the factor has a
-    derivative break; panels never straddle them.
+    Returns one integral per interval [cuts[i], cuts[i + 1]] of the
+    increasing ``cuts``. Uses the substitution u = sqrt(tau), under which the
+    integrand is bounded and smooth, with composite Gauss-Legendre panels
+    per interval sized to resolve both the substitution and any
+    exp(-kappa_d * ...) variation in the factor. The factor may break its
+    derivative only at a cut.
     """
     ka, dif, kd = params.kappa_a, params.diffusion, params.kappa_d
-    if tau_hi <= tau_lo:
-        return 0.0
     a_coef = ka / np.sqrt(np.pi * dif)
     b_coef = ka * ka / dif
-    cuts = [tau_lo, tau_hi]
-    for kk in kinks:
-        if tau_lo < kk < tau_hi:
-            cuts.append(float(kk))
-    cuts = np.sqrt(np.unique(np.asarray(cuts, dtype=np.float64)))
-    total = 0.0
-    for u_lo, u_hi in zip(cuts[:-1], cuts[1:]):
-        span = u_hi - u_lo
-        if span <= 0:
-            continue
-        n_pan = int(np.clip(np.ceil(kd * u_hi * span / 2.0), 4, 512))
+    u_cuts = np.sqrt(np.asarray(cuts, dtype=np.float64))
+    out = np.empty(u_cuts.size - 1)
+    for i, (u_lo, u_hi) in enumerate(zip(u_cuts[:-1], u_cuts[1:])):
+        n_pan = int(np.clip(np.ceil(kd * u_hi * (u_hi - u_lo) / 2.0), 4, 512))
         u, w = _gl_panels(u_lo, u_hi, n_pan)
         dens = 2.0 * a_coef - 2.0 * b_coef * u * erfcx(ka * u / np.sqrt(dif))
-        total += float(np.sum(w * np.maximum(dens, 0.0) * factor_fn(u * u)))
-    return total
+        out[i] = np.sum(w * np.maximum(dens, 0.0) * factor_fn(u * u))
+    return out
 
 
 def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> PhiTable:
@@ -430,47 +422,47 @@ def _window_rest_profile(phi: PhiTable, t_start: float, t_stop: float) -> np.nda
     that a particle emitted during [t_start, t_stop] has completed exactly
     j rounds (j >= 2) by the horizon, weighted by the j-generation delay
     density, over the emission window. The escape-count factor integrates
-    in closed form through regularized incomplete gamma differences.
+    in closed form through regularized incomplete gamma differences. A
+    single-generation table (always the case at kappa_d == 0) has no such
+    terms, and the profile is zero.
     """
     p = phi.params
-    n_gen = phi.n_generations
     tau = phi.tau_grid
-    if n_gen < 2 or p.kappa_d == 0.0:
-        return np.zeros_like(tau)
-    hi = p.horizon - t_start
-    lo = np.maximum(tau, p.horizon - t_stop)
-    x_hi = np.maximum(p.kappa_d * (hi - tau), 0.0)
-    x_lo = np.maximum(p.kappa_d * (lo - tau), 0.0)
+    x_hi = np.maximum(p.kappa_d * ((p.horizon - t_start) - tau), 0.0)
+    x_lo = np.maximum(p.kappa_d * ((p.horizon - t_stop) - tau), 0.0)
     x_lo = np.minimum(x_lo, x_hi)
-    js = np.arange(2, n_gen + 1, dtype=np.float64)[:, None]
+    js = np.arange(2, phi.n_generations + 1, dtype=np.float64)[:, None]
     win = (sp.gammainc(js, x_hi[None, :]) - sp.gammainc(js, x_lo[None, :])) / p.kappa_d
     return np.einsum("jn,jn->n", phi.powers[1:], np.maximum(win, 0.0))
 
 
-def _first_generation_window(phi: PhiTable, tau_lo, tau_hi, t_start, t_stop) -> float:
-    """Emission-window integral of the first-generation density term over a
-    free-motion-time band [tau_lo, tau_hi]."""
+def _first_generation_window(phi: PhiTable, tau_bounds, t_start, t_stop) -> np.ndarray:
+    """Emission-window integrals of the first-generation density term, one
+    per free-motion-time band [tau_bounds[k], tau_bounds[k + 1]].
+
+    A particle emitted at t has free time tau <= H - t, so the window
+    factor of tau is the integral of exp(-kappa_d * (H - t - tau)) over the
+    emission times in [t_start, min(t_stop, H - tau)]. Its derivative
+    breaks only at tau = H - t_stop, so the band edges and that point,
+    clipped to the reachable range [0, min(H - t_start, tau_K)], are the
+    cuts of one quadrature pass; each interval is summed into its band.
+    """
     p = phi.params
-    hi = p.horizon - t_start
+    kd = p.kappa_d
+    hi = max(p.horizon - t_start, 0.0)
     lo_break = p.horizon - t_stop
-    band_hi = min(tau_hi, hi)
-    if band_hi <= tau_lo:
-        return 0.0
-    if p.kappa_d == 0.0:
-        def factor(tau):
-            return np.maximum(hi - np.maximum(tau, lo_break), 0.0)
-    else:
-        kd = p.kappa_d
-
-        def factor(tau):
-            lo = np.maximum(tau, lo_break)
-            x_hi = np.maximum(kd * (hi - tau), 0.0)
-            x_lo = np.maximum(kd * (lo - tau), 0.0)
-            return np.maximum(-np.expm1(-x_hi) + np.expm1(-x_lo), 0.0) / kd
-
-    return _first_generation_integral(
-        p, tau_lo, band_hi, factor, kinks=(lo_break,)
+    cuts = np.unique(
+        np.clip(np.append(tau_bounds, lo_break), 0.0, min(hi, tau_bounds[-1]))
     )
+
+    def factor(tau):
+        span = np.maximum(hi - np.maximum(tau, lo_break), 0.0)
+        r_lo = np.maximum(lo_break - tau, 0.0)
+        return np.exp(-kd * r_lo) * span * sp.exprel(-kd * span)
+
+    vals = _first_generation_integral(p, cuts, factor)
+    bands = np.searchsorted(tau_bounds, cuts[:-1], side="right") - 1
+    return np.bincount(bands, weights=vals, minlength=tau_bounds.size - 1)
 
 
 def synth_psdr(
@@ -481,11 +473,14 @@ def synth_psdr(
 ) -> PsdrTensor:
     """Scale-resolved source tensor produced by point emitters.
 
-    Each emitter deposits, into the scale bin at its own pixel, the expected
-    number of its particles that are bound at the horizon after accumulating
-    a free-motion time inside that bin's band, normalized per unit scale
-    (division by sqrt of the bin width). Contributions are additive across
-    emitters and linear in emission rate.
+    Each emitter deposits, into the scale bins at its own pixel, the
+    expected number of its particles that are bound at the horizon after
+    accumulating a free-motion time inside each bin's band, normalized per
+    unit scale (division by sqrt of the bin width). One pass per emitter
+    fills every bin: the first generation from one quadrature over all
+    band edges, the later generations as one product of the band-by-cell
+    overlap matrix with the emitter's rest profile. Contributions are
+    additive across emitters and linear in emission rate.
     """
     m_rows, n_cols = int(shape[0]), int(shape[1])
     if m_rows < 1 or n_cols < 1:
@@ -497,8 +492,12 @@ def synth_psdr(
             f"{p.sigma_max_px:g} px for these parameters"
         )
     tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
-    step = phi.step
-    edges = np.arange(phi.tau_grid.size + 1) * step
+    edges = np.arange(phi.tau_grid.size + 1) * phi.step
+    # overlap[k, i]: length of tabulation cell i inside band k
+    t_lo, t_hi = tau_bounds[:-1, None], tau_bounds[1:, None]
+    overlap = np.clip(
+        np.minimum(edges[1:], t_hi) - np.maximum(edges[:-1], t_lo), 0.0, None
+    )
     sqrt_w = np.sqrt(grid.widths)
     out = np.zeros((m_rows, n_cols, grid.n_bins))
     for src in sources:
@@ -510,15 +509,9 @@ def synth_psdr(
             )
         if src.rate == 0.0 or src.t_stop == src.t_start:
             continue
+        first = _first_generation_window(phi, tau_bounds, src.t_start, src.t_stop)
         rest = _window_rest_profile(phi, src.t_start, src.t_stop)
-        for k in range(grid.n_bins):
-            t_lo, t_hi = tau_bounds[k], tau_bounds[k + 1]
-            first = _first_generation_window(phi, t_lo, t_hi, src.t_start, src.t_stop)
-            overlap = np.clip(
-                np.minimum(edges[1:], t_hi) - np.maximum(edges[:-1], t_lo), 0.0, None
-            )
-            val = src.rate * (first + float(overlap @ rest)) / sqrt_w[k]
-            out[int(src.m), int(src.n), k] += max(val, 0.0)
+        out[int(src.m), int(src.n)] += src.rate * (first + overlap @ rest) / sqrt_w
     return PsdrTensor(out)
 
 

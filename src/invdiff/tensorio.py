@@ -10,6 +10,7 @@ byte-identical output for identical input.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -46,12 +47,12 @@ def read_tensor(path) -> np.ndarray:
         if len(raw) != 4 * rank:
             raise ValueError(f"{path}: truncated dimension list")
         shape = struct.unpack(f"<{rank}I", raw)
-        count = int(np.prod(shape, dtype=np.int64))
-        payload = fh.read(8 * count)
-        if len(payload) != 8 * count:
-            raise ValueError(f"{path}: payload smaller than header promises")
-        if fh.read(1):
-            raise ValueError(f"{path}: trailing bytes after payload")
+        payload = fh.read()
+    size = 8 * math.prod(shape)
+    if len(payload) < size:
+        raise ValueError(f"{path}: payload smaller than header promises")
+    if len(payload) > size:
+        raise ValueError(f"{path}: trailing bytes after payload")
     return np.frombuffer(payload, dtype="<f8").reshape(shape).astype(np.float64)
 
 

@@ -87,6 +87,23 @@ class TestFindSources:
     def test_negative_only_map_gives_nothing(self):
         assert len(find_sources(-np.ones((10, 10)))) == 0
 
+    def test_local_maxima_match_ndimage_maximum_filter(self):
+        # with no threshold and no suppression every positive 3x3 local
+        # maximum is a detection; oracle: scipy.ndimage's maximum filter on
+        # seeded random maps with plateaus, thin maps and zero maps
+        from scipy import ndimage
+
+        rng = np.random.default_rng(11)
+        shapes = [(1, 1), (1, 7), (6, 1), (2, 2), (5, 9), (16, 16), (13, 4)]
+        for trial in range(120):
+            shape = shapes[trial % len(shapes)]
+            img = rng.integers(0, 1 + trial % 4, size=shape).astype(np.float64)
+            ref = img >= ndimage.maximum_filter(img, size=3, mode="constant", cval=-np.inf)
+            want = np.argwhere(ref & (img > 0))
+            det = find_sources(img, rel_threshold=0.0, min_separation=0)
+            got = det.positions()
+            np.testing.assert_array_equal(got[np.lexsort(got.T[::-1])], want)
+
     def test_validation(self):
         with pytest.raises(ValueError, match="2D"):
             find_sources(np.zeros(5))

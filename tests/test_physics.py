@@ -412,6 +412,48 @@ class TestSynthPsdr:
             whole.data, first.data + second.data, rtol=1e-10, atol=1e-13
         )
 
+    def test_per_band_first_generation_oracle(self):
+        # every band separately against quadrature in u = sqrt(tau) of
+        # phi_1(u^2) * 2u * W(u^2), where W(tau) integrates the no-escape
+        # probability exp(-kappa_d * (T - t - tau)) over the emission times
+        # t in [t_start, min(t_stop, T - tau)]. The windows put T - t_stop
+        # inside a band and above the top band, and T - t_start inside a band.
+        grid = SigmaGrid(boundaries=(0.0, 2.0, 8.0, 20.0, 40.0, 60.0), support_set=(1, 2))
+        windows = [
+            (0.0, T), (300.0, 2900.0), (3000.0, 3590.0), (50.0, 700.0),
+            (T - 3.0, T), (T - 20.0, T - 10.0), (0.0, 5.0),
+        ]
+        for kd in (0.0, 0.1 / T):
+            p = params(kappa_d=kd)
+            phi = phi_general(p, tau_steps=1024)
+            assert phi.n_generations == 1
+            u_bounds = np.sqrt(p.tau_of_sigma_px(grid.boundaries))
+            for t0, t1 in windows:
+                def window(tau):
+                    t_hi = min(t1, T - tau)
+                    if t_hi <= t0:
+                        return 0.0
+                    if kd == 0.0:
+                        return t_hi - t0
+                    return (np.exp(-kd * (T - tau - t_hi)) - np.exp(-kd * (T - tau - t0))) / kd
+
+                def integrand(u):
+                    return phi_no_desorption(u * u, p) * 2.0 * u * window(u * u)
+
+                kinks = np.sqrt([T - t1, T - t0])
+                want = np.array([
+                    integrate.quad(
+                        integrand, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13,
+                        points=[k for k in kinks if lo < k < hi] or None,
+                    )[0]
+                    for lo, hi in zip(u_bounds[:-1], u_bounds[1:])
+                ])
+                psdr = synth_psdr([Source(0, 0, 1.0, t0, t1)], grid, phi, (1, 1))
+                got = psdr.data[0, 0] * np.sqrt(grid.widths)
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=1e-10 * want.max(), err_msg=f"{kd=} {t0=} {t1=}"
+                )
+
     def test_zero_rate_and_empty_window(self):
         p = params()
         phi = phi_general(p, tau_steps=512)
@@ -419,6 +461,9 @@ class TestSynthPsdr:
         assert zero_rate.data.max() == 0.0
         empty_win = synth_psdr([Source(0, 0, 5.0, 100.0, 100.0)], GRID, phi, (4, 4))
         assert empty_win.data.max() == 0.0
+        # a window past the horizon by round-off reaches no free time
+        late = Source(0, 0, 1.0, T * (1 + 1e-13), T * (1 + 5e-13))
+        assert synth_psdr([late], GRID, phi, (4, 4)).data.max() == 0.0
 
     def test_later_emission_shifts_mass_to_sharper_bins(self):
         # particles emitted close to the horizon have had little free time,
