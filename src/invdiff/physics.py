@@ -415,25 +415,53 @@ def pde_oracle(
     return PdeResult(times=times, bound=bound, mass=mass, dz=dz, dt=dt)
 
 
-def _window_rest_profile(phi: PhiTable, t_start: float, t_stop: float) -> np.ndarray:
-    """Emission-window integral of the generation-2+ density terms.
+def _gammainc_rows(j_max: int, x: np.ndarray) -> np.ndarray:
+    """Regularized lower incomplete gamma P(j, x) = gammainc(j, x) for
+    j = 2..j_max, one row per order (no rows when j_max < 2).
+
+    P(j, x) is the probability that a Poisson count of mean x reaches j, so
+    P(j, x) = P(j + 1, x) + pmf(j, x). Only the top row P(j_max, x) is
+    evaluated by ``gammainc``; the lower rows add the Poisson pmf rows,
+    built in log space from one log(x) per cell, summed from j_max down to
+    2. Every addition is of non-negative terms, so each row keeps the
+    relative accuracy of its terms, and x = 0 gives exactly 0.
+    """
+    js = np.arange(2, j_max + 1, dtype=np.float64)[:, None]
+    with np.errstate(divide="ignore"):
+        log_x = np.log(x)
+    rows = np.empty((js.size, x.size))
+    rows[:-1] = np.exp(js[:-1] * log_x - x - sp.gammaln(js[:-1] + 1.0))
+    rows[-1:] = sp.gammainc(js[-1:], x)
+    for i in range(js.size - 2, -1, -1):
+        rows[i] += rows[i + 1]
+    return rows
+
+
+def _window_rest_profile(
+    phi: PhiTable, t_start: float, t_stop: float, n_cells: int
+) -> np.ndarray:
+    """Emission-window integral of the generation-2+ density terms on the
+    first ``n_cells`` tabulation cells.
 
     For each tabulated free-motion time tau, integrates the probability
     that a particle emitted during [t_start, t_stop] has completed exactly
     j rounds (j >= 2) by the horizon, weighted by the j-generation delay
     density, over the emission window. The escape-count factor integrates
-    in closed form through regularized incomplete gamma differences. A
-    single-generation table (always the case at kappa_d == 0) has no such
-    terms, and the profile is zero.
+    in closed form to a difference of regularized incomplete gamma
+    functions at the two window ends; each end takes one ``gammainc`` row
+    and a downward pmf tail sum (``_gammainc_rows``). The caller passes
+    the number of leading cells that can carry weight; the others are not
+    evaluated. A single-generation table (always the case at
+    kappa_d == 0) has an empty j range, and the profile is zero.
     """
     p = phi.params
-    tau = phi.tau_grid
+    tau = phi.tau_grid[:n_cells]
     x_hi = np.maximum(p.kappa_d * ((p.horizon - t_start) - tau), 0.0)
     x_lo = np.maximum(p.kappa_d * ((p.horizon - t_stop) - tau), 0.0)
     x_lo = np.minimum(x_lo, x_hi)
-    js = np.arange(2, phi.n_generations + 1, dtype=np.float64)[:, None]
-    win = (sp.gammainc(js, x_hi[None, :]) - sp.gammainc(js, x_lo[None, :])) / p.kappa_d
-    return np.einsum("jn,jn->n", phi.powers[1:], np.maximum(win, 0.0))
+    j_max = phi.n_generations
+    win = (_gammainc_rows(j_max, x_hi) - _gammainc_rows(j_max, x_lo)) / p.kappa_d
+    return np.einsum("jn,jn->n", phi.powers[1:, :n_cells], np.maximum(win, 0.0))
 
 
 def _first_generation_window(phi: PhiTable, tau_bounds, t_start, t_stop) -> np.ndarray:
@@ -479,8 +507,14 @@ def synth_psdr(
     unit scale (division by sqrt of the bin width). One pass per emitter
     fills every bin: the first generation from one quadrature over all
     band edges, the later generations as one product of the band-by-cell
-    overlap matrix with the emitter's rest profile. Contributions are
-    additive across emitters and linear in emission rate.
+    overlap matrix with the emitter's rest profile. The rest profile is
+    evaluated only on the cells whose left edge lies below
+    min(tau_K, H - t_start): cells above the top band edge tau_K have zero
+    overlap, and cells past H - t_start hold no free time this emitter's
+    particles can reach. Its incomplete-gamma window factors take one
+    ``gammainc`` row per window end and sum the lower orders as Poisson pmf
+    tails. Contributions are additive across emitters and linear in
+    emission rate.
     """
     m_rows, n_cols = int(shape[0]), int(shape[1])
     if m_rows < 1 or n_cols < 1:
@@ -510,8 +544,10 @@ def synth_psdr(
         if src.rate == 0.0 or src.t_stop == src.t_start:
             continue
         first = _first_generation_window(phi, tau_bounds, src.t_start, src.t_stop)
-        rest = _window_rest_profile(phi, src.t_start, src.t_stop)
-        out[int(src.m), int(src.n)] += src.rate * (first + overlap @ rest) / sqrt_w
+        lim = min(tau_bounds[-1], p.horizon - src.t_start)
+        n_cells = int(np.searchsorted(edges[:-1], lim))
+        rest = _window_rest_profile(phi, src.t_start, src.t_stop, n_cells)
+        out[int(src.m), int(src.n)] += src.rate * (first + overlap[:, :n_cells] @ rest) / sqrt_w
     return PsdrTensor(out)
 
 

@@ -28,6 +28,7 @@ from invdiff import (
     synth_psdr,
     truncation_order,
 )
+from invdiff.physics import _first_generation_window, _gammainc_rows
 
 D = 1e-10
 T = 3600.0
@@ -332,6 +333,29 @@ class TestPdeOracle:
             pde_oracle(params(), n_z=400, n_t=10)
 
 
+class TestGammaincRows:
+    # x^j e^-x / j! is formed in log space both here and in scipy's series
+    # for gammainc, so each side carries a relative error of a few
+    # |j log x| * eps. On this grid the two differ by up to 8.4e-14
+    # (j = 37, x = 8e-3). Toward x = 1e-6 scipy's own error, measured
+    # against a 40-digit reference, reaches 1.6e-13, so the grid starts at
+    # 1e-3.
+    X = np.concatenate(([0.0, 1.0, 50.0, 1e3], np.geomspace(1e-3, 1e4, 300)))
+
+    @pytest.mark.parametrize("j_max", [1, 2, 3, 12, 40])
+    def test_matches_scipy_gammainc(self, j_max):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _gammainc_rows(j_max, self.X)
+        assert got.shape == (j_max - 1, self.X.size)
+        for j, row in zip(range(2, j_max + 1), got):
+            want = special.gammainc(j, self.X)
+            big = want > 1e-290
+            np.testing.assert_allclose(row[big], want[big], rtol=1e-13, atol=0.0, err_msg=f"{j=}")
+            assert np.abs(row[~big]).max(initial=0.0) <= 1e-289
+        assert (got[:, self.X == 0.0] == 0.0).all()
+
+
 GRID = SigmaGrid(boundaries=(0.0, 2.0, 8.0, 20.0, 84.85281374238569), support_set=(1, 2, 3, 4))
 
 
@@ -452,6 +476,41 @@ class TestSynthPsdr:
                 got = psdr.data[0, 0] * np.sqrt(grid.widths)
                 np.testing.assert_allclose(
                     got, want, rtol=0.0, atol=1e-10 * want.max(), err_msg=f"{kd=} {t0=} {t1=}"
+                )
+
+    def test_matches_full_grid_reference(self):
+        # the parent formula: gammainc per generation on every tabulation
+        # cell, weighted by the full band-by-cell overlap, plus the
+        # first-generation quadrature. The top band edge tau_K = 800 lies
+        # below the horizon; the windows put H - t_start above tau_K, inside
+        # a band, inside the first cell (one cell kept, no free time left)
+        # and past the horizon by round-off (no cell kept).
+        grid = SigmaGrid(boundaries=(0.0, 2.0, 8.0, 20.0, 40.0), support_set=(1, 2, 3, 4))
+        for kd_h in (1.0, 3.6, 20.0):
+            p = params(kappa_d=kd_h / T)
+            phi = phi_general(p, tau_steps=1024)
+            tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
+            assert phi.n_generations > 1 and tau_bounds[-1] < T
+            edges = np.arange(phi.tau_grid.size + 1) * phi.step
+            overlap = np.clip(
+                np.minimum(edges[1:], tau_bounds[1:, None])
+                - np.maximum(edges[:-1], tau_bounds[:-1, None]), 0.0, None
+            )
+            js = np.arange(2, phi.n_generations + 1, dtype=np.float64)[:, None]
+            windows = [
+                (0.0, T), (300.0, T), (300.0, 2900.0), (3500.0, 3580.0),
+                (T - phi.step / 4, T), (T * (1 + 1e-13), T * (1 + 5e-13)),
+            ]
+            for t0, t1 in windows:
+                x_hi = np.maximum(p.kappa_d * ((T - t0) - phi.tau_grid), 0.0)
+                x_lo = np.minimum(np.maximum(p.kappa_d * ((T - t1) - phi.tau_grid), 0.0), x_hi)
+                win = (special.gammainc(js, x_hi) - special.gammainc(js, x_lo)) / p.kappa_d
+                rest = np.einsum("jn,jn->n", phi.powers[1:], np.maximum(win, 0.0))
+                first = _first_generation_window(phi, tau_bounds, t0, t1)
+                want = (first + overlap @ rest) / np.sqrt(grid.widths)
+                got = synth_psdr([Source(0, 0, 1.0, t0, t1)], grid, phi, (1, 1)).data[0, 0]
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=1e-14 * want.max(), err_msg=f"{kd_h=} {t0=} {t1=}"
                 )
 
     def test_zero_rate_and_empty_window(self):
