@@ -20,7 +20,6 @@ from .detect import (
 from .mathcore import (
     Tabulated1D,
     conv_power_seq,
-    erfcx,
     omega,
 )
 from .operator import (
@@ -80,7 +79,6 @@ __all__ = [
     "match_and_score",
     "Tabulated1D",
     "conv_power_seq",
-    "erfcx",
     "omega",
     "KernelBank",
     "Observation",

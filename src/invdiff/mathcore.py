@@ -1,39 +1,21 @@
-"""Scalar special functions and tabulated-density helpers.
+"""Pixel response, Poisson helpers and tabulated densities.
 
 Everything in this module is a pure function of its arguments. The pixel
 response ``omega`` and the Poisson helpers are the numeric bedrock for kernel
-construction and for the desorption-series tabulation in :mod:`invdiff.physics`.
+construction and for the desorption-series tabulation in :mod:`invdiff.physics`,
+which takes the scaled complementary error function straight from
+``scipy.special.erfcx``.
 The convolution powers of a tabulated density take one path at every table
 size: real FFTs padded to cover the linear convolution, so no sample wraps.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
 from scipy.fft import irfft, next_fast_len, rfft
-
-
-def _as_float_array(x, name: str) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64)
-    if np.isnan(arr).any():
-        raise ValueError(f"{name} contains NaN")
-    return arr
-
-
-def erfcx(x):
-    """Scaled complementary error function exp(x^2) * erfc(x) for x >= 0.
-
-    Decreases monotonically from 1 at x = 0 toward 1/(x*sqrt(pi)); evaluating
-    it directly avoids the overflow of exp(x^2) for large x.
-    """
-    arr = _as_float_array(x, "x")
-    if (arr < 0).any():
-        raise ValueError("erfcx is only used on x >= 0")
-    out = sp.erfcx(arr)
-    return float(out) if np.isscalar(x) or arr.ndim == 0 else out
 
 
 def _psi_tail(x: np.ndarray) -> np.ndarray:

@@ -48,6 +48,9 @@ class SigmaGrid:
         if not (np.diff(b) > 0).all():
             raise ValueError("boundaries must be strictly increasing")
         k = b.size - 1
+        for s in self.support_set:
+            if s != int(s):
+                raise ValueError(f"support_set entries must be integers, got {s}")
         sup = tuple(sorted(set(int(s) for s in self.support_set)))
         if not sup:
             raise ValueError("support_set must not be empty")
@@ -315,10 +318,25 @@ def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> flo
     an all-zero row and column). The square root of the smallest ratio seen
     is returned: a bound for any ``iters`` >= 1 that never increases with
     it and closes on the norm as the iterates converge.
+
+    No kernel reaches past max(bank.radii) pixels in either axis, so when no
+    positive-weight pixel is that close to a masked-in pixel the operator
+    is zero and 0.0 is returned exactly; the iterates would carry only FFT
+    round-off, and a bound near 1e-16 would make the step absurdly long.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
     live = obs.weights > 0
+    # summed-area table of the mask: masked pixels in each weighted pixel's
+    # (2r + 1)-square reach
+    r, (m, n) = max(bank.radii), obs.mask.shape
+    sat = np.zeros((m + 1, n + 1))
+    sat[1:, 1:] = obs.mask.cumsum(axis=0).cumsum(axis=1)
+    i, j = np.nonzero(live)
+    i0, i1 = np.maximum(i - r, 0), np.minimum(i + r + 1, m)
+    j0, j1 = np.maximum(j - r, 0), np.minimum(j + r + 1, n)
+    if not (sat[i1, j1] - sat[i0, j1] - sat[i1, j0] + sat[i0, j0]).any():
+        return 0.0
     d = live.astype(np.float64)
     bound = np.inf
     for _ in range(iters):

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .mathcore import Tabulated1D, conv_power_seq, erfcx, _poisson_pmf_row
+from .mathcore import Tabulated1D, conv_power_seq, _poisson_pmf_row
 from .operator import PsdrTensor, SigmaGrid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -110,7 +110,7 @@ def phi_no_desorption(tau, params: PhysicalParams):
         raise ValueError("tau must be > 0")
     ka, dif = params.kappa_a, params.diffusion
     root = np.sqrt(t / dif)
-    out = ka / np.sqrt(np.pi * dif * t) - (ka * ka / dif) * erfcx(ka * root)
+    out = ka / np.sqrt(np.pi * dif * t) - (ka * ka / dif) * sp.erfcx(ka * root)
     out = np.maximum(out, 0.0)
     return out if out.ndim else float(out)
 
@@ -120,7 +120,7 @@ def capture_fraction(tau, params: PhysicalParams):
     t = np.asarray(tau, dtype=np.float64)
     if (t < 0).any() or not np.isfinite(t).all():
         raise ValueError("tau must be finite and >= 0")
-    out = 1.0 - np.asarray(erfcx(params.kappa_a * np.sqrt(t / params.diffusion)))
+    out = 1.0 - sp.erfcx(params.kappa_a * np.sqrt(t / params.diffusion))
     return out if out.ndim else float(out)
 
 
@@ -146,7 +146,7 @@ def phi_norm_sq(params: PhysicalParams, tau_floor: float) -> float:
     s_hi = max(s_lo, 0.0) + 12.0
     s, w = _gl_panels(s_lo, s_hi, int(np.ceil(s_hi - s_lo)))
     x = np.exp(s)
-    h = 1.0 / np.sqrt(np.pi) - x * erfcx(x)
+    h = 1.0 / np.sqrt(np.pi) - x * sp.erfcx(x)
     tail = np.exp(-4.0 * s_hi) / (16.0 * np.pi)
     return float(2.0 * c * c * (np.sum(w * h * h) + tail))
 
@@ -221,8 +221,8 @@ class PhiTable:
         """
         p = self.params
         first = _first_generation_integral(
-            p, (0.0, p.horizon), lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
-        )[0]
+            p, 0.0, p.horizon, lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
+        )
         pois0 = np.exp(-p.kappa_d * (p.horizon - self.tau_grid))
         rest = self.values - self.powers[0] * pois0
         return float(first + self.step * np.maximum(rest, 0.0).sum())
@@ -230,34 +230,34 @@ class PhiTable:
 
 def _gl_panels(lo, hi, n_pan):
     """Nodes and weights of ``n_pan`` equal Gauss-Legendre panels on [lo, hi],
-    one row per panel."""
-    edges = np.linspace(lo, hi, n_pan + 1)
-    half = 0.5 * (edges[1:] - edges[:-1])
-    mid = 0.5 * (edges[1:] + edges[:-1])
-    return mid[:, None] + half[:, None] * _GL_NODES, half[:, None] * _GL_WEIGHTS
+    one row per panel. Array ends of one shape lead the result's shape; a
+    zero-width interval gets all-zero weights."""
+    edges = np.linspace(lo, hi, n_pan + 1, axis=-1)
+    half = 0.5 * (edges[..., 1:] - edges[..., :-1])
+    mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
+    return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
 
 
-def _first_generation_integral(params, cuts, factor_fn) -> np.ndarray:
-    """Integrate capture_density(tau) * factor_fn(tau) between consecutive cuts.
+def _first_generation_integral(params, tau_lo, tau_hi, factor_fn) -> np.ndarray:
+    """Integrate capture_density(tau) * factor_fn(tau) over [tau_lo, tau_hi].
 
-    Returns one integral per interval [cuts[i], cuts[i + 1]] of the
-    increasing ``cuts``. Uses the substitution u = sqrt(tau), under which the
-    integrand is bounded and smooth, with composite Gauss-Legendre panels
-    per interval sized to resolve both the substitution and any
-    exp(-kappa_d * ...) variation in the factor. The factor may break its
-    derivative only at a cut.
+    The ends are scalars or arrays of one shape, and so is the result: one
+    integral per interval, in one broadcast. Uses the substitution
+    u = sqrt(tau), under which the integrand is bounded and smooth, with
+    composite Gauss-Legendre panels. All intervals share the largest panel
+    count any of them needs (at least 4) to resolve exp(-kappa_d * ...)
+    variation in the factor, which may break its derivative only at an end.
     """
     ka, dif, kd = params.kappa_a, params.diffusion, params.kappa_d
     a_coef = ka / np.sqrt(np.pi * dif)
     b_coef = ka * ka / dif
-    u_cuts = np.sqrt(np.asarray(cuts, dtype=np.float64))
-    out = np.empty(u_cuts.size - 1)
-    for i, (u_lo, u_hi) in enumerate(zip(u_cuts[:-1], u_cuts[1:])):
-        n_pan = int(np.clip(np.ceil(kd * u_hi * (u_hi - u_lo) / 2.0), 4, 512))
-        u, w = _gl_panels(u_lo, u_hi, n_pan)
-        dens = 2.0 * a_coef - 2.0 * b_coef * u * erfcx(ka * u / np.sqrt(dif))
-        out[i] = np.sum(w * np.maximum(dens, 0.0) * factor_fn(u * u))
-    return out
+    u_lo = np.sqrt(np.asarray(tau_lo, dtype=np.float64))
+    u_hi = np.sqrt(np.asarray(tau_hi, dtype=np.float64))
+    n_pan = int(np.clip(np.ceil(kd * u_hi * (u_hi - u_lo) / 2.0), 4, 512).max())
+    u, w = _gl_panels(u_lo, u_hi, n_pan)
+    dens = 2.0 * a_coef - 2.0 * b_coef * u * sp.erfcx(ka * u / np.sqrt(dif))
+    vals = w * np.maximum(dens, 0.0) * factor_fn(u * u)
+    return vals.reshape(*vals.shape[:-2], -1).sum(axis=-1)
 
 
 def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> PhiTable:
@@ -471,26 +471,27 @@ def _first_generation_window(phi: PhiTable, tau_bounds, t_start, t_stop) -> np.n
     A particle emitted at t has free time tau <= H - t, so the window
     factor of tau is the integral of exp(-kappa_d * (H - t - tau)) over the
     emission times in [t_start, min(t_stop, H - tau)]. Its derivative
-    breaks only at tau = H - t_stop, so the band edges and that point,
-    clipped to the reachable range [0, min(H - t_start, tau_K)], are the
-    cuts of one quadrature pass; each interval is summed into its band.
+    breaks only at the kink tau = H - t_stop. Each band is clipped to
+    [0, H - t_start] and split at the kink into a lower and an upper part,
+    either of which may be empty; the 2 x K parts are one quadrature
+    broadcast, summed over the two parts of each band.
     """
     p = phi.params
     kd = p.kappa_d
     hi = max(p.horizon - t_start, 0.0)
     lo_break = p.horizon - t_stop
-    cuts = np.unique(
-        np.clip(np.append(tau_bounds, lo_break), 0.0, min(hi, tau_bounds[-1]))
-    )
+    ends = np.clip(tau_bounds, 0.0, hi)
+    split = np.clip(lo_break, ends[:-1], ends[1:])
 
     def factor(tau):
         span = np.maximum(hi - np.maximum(tau, lo_break), 0.0)
         r_lo = np.maximum(lo_break - tau, 0.0)
         return np.exp(-kd * r_lo) * span * sp.exprel(-kd * span)
 
-    vals = _first_generation_integral(p, cuts, factor)
-    bands = np.searchsorted(tau_bounds, cuts[:-1], side="right") - 1
-    return np.bincount(bands, weights=vals, minlength=tau_bounds.size - 1)
+    parts = _first_generation_integral(
+        p, np.stack((ends[:-1], split)), np.stack((split, ends[1:])), factor
+    )
+    return parts.sum(axis=0)
 
 
 def synth_psdr(
@@ -505,16 +506,16 @@ def synth_psdr(
     expected number of its particles that are bound at the horizon after
     accumulating a free-motion time inside each bin's band, normalized per
     unit scale (division by sqrt of the bin width). One pass per emitter
-    fills every bin: the first generation from one quadrature over all
-    band edges, the later generations as one product of the band-by-cell
-    overlap matrix with the emitter's rest profile. The rest profile is
-    evaluated only on the cells whose left edge lies below
-    min(tau_K, H - t_start): cells above the top band edge tau_K have zero
-    overlap, and cells past H - t_start hold no free time this emitter's
-    particles can reach. Its incomplete-gamma window factors take one
-    ``gammainc`` row per window end and sum the lower orders as Poisson pmf
-    tails. Contributions are additive across emitters and linear in
-    emission rate.
+    fills every bin: the first generation from one quadrature broadcast
+    over each band's two parts either side of the window kink, the later
+    generations as one product of the band-by-cell overlap matrix with the
+    emitter's rest profile. The rest profile is evaluated only on the cells
+    whose left edge lies below min(tau_K, H - t_start): cells above the top
+    band edge tau_K have zero overlap, and cells past H - t_start hold no
+    free time this emitter's particles can reach. Its incomplete-gamma
+    window factors take one ``gammainc`` row per window end and sum the
+    lower orders as Poisson pmf tails. Contributions are additive across
+    emitters and linear in emission rate.
     """
     m_rows, n_cols = int(shape[0]), int(shape[1])
     if m_rows < 1 or n_cols < 1:

@@ -83,6 +83,8 @@ class TestSigmaGrid:
             SigmaGrid(boundaries=(0.0, 2.0), support_set=())
         with pytest.raises(ValueError, match="lie in"):
             SigmaGrid(boundaries=(0.0, 2.0), support_set=(2,))
+        with pytest.raises(ValueError, match="integers, got 1.5"):
+            SigmaGrid(boundaries=(0.0, 2.0, 4.0), support_set=(1.5, 2))
 
 
 class TestPsdrTensor:
@@ -365,6 +367,21 @@ class TestOpNormEstimate:
             data=np.zeros((12, 12)), weights=np.ones((12, 12)), mask=np.zeros((12, 12))
         )
         assert op_norm_estimate(obs, bank, iters=25) == 0.0
+
+    def test_weights_beyond_kernel_reach_of_mask_give_zero(self):
+        # radii 8 and 14; weights on columns 0-3. With the mask from column
+        # 18 on, no weighted pixel is within 14 px of a masked one, so the
+        # operator is zero, but FFT round-off alone would give about 1.6e-16
+        bank2 = build_kernel_bank(SigmaGrid(boundaries=(0.0, 1.0, 2.0), support_set=(1, 2)))
+        weights = np.zeros((64, 64))
+        weights[:, :4] = 1.0
+        for first_col, zero in ((40, True), (18, True), (17, False)):
+            mask = np.zeros((64, 64))
+            mask[:, first_col:] = 1.0
+            obs = Observation(data=np.zeros((64, 64)), weights=weights, mask=mask)
+            for it in (1, 20):
+                est = op_norm_estimate(obs, bank2, iters=it)
+                assert (est == 0.0) == zero, (first_col, it, est)
 
     def test_rejects_few_iterations(self, bank):
         obs = Observation.plain(np.zeros((8, 8)))

@@ -28,7 +28,7 @@ from invdiff import (
     synth_psdr,
     truncation_order,
 )
-from invdiff.physics import _first_generation_window, _gammainc_rows
+from invdiff.physics import _first_generation_window, _gammainc_rows, _gl_panels
 
 D = 1e-10
 T = 3600.0
@@ -356,7 +356,70 @@ class TestGammaincRows:
         assert (got[:, self.X == 0.0] == 0.0).all()
 
 
+class TestGlPanels:
+    LO = np.array([[0.0, 1.5, 2.25, 7.0], [0.5, 1.75, 3.0, 7.0]])
+    HI = np.array([[0.5, 1.75, 3.0, 9.5], [1.5, 2.25, 7.0, 12.0]])
+
+    @pytest.mark.parametrize("n_pan", [1, 4, 5, 20])
+    def test_array_ends_match_scalar_calls(self, n_pan):
+        u, w = _gl_panels(self.LO, self.HI, n_pan)
+        assert u.shape == w.shape == (2, 4, n_pan, 24)
+        for i in range(2):
+            for k in range(4):
+                us, ws = _gl_panels(self.LO[i, k], self.HI[i, k], n_pan)
+                np.testing.assert_array_equal(u[i, k], us)
+                np.testing.assert_array_equal(w[i, k], ws)
+
+    @pytest.mark.parametrize("n_pan", [4, 5])
+    def test_zero_width_interval_has_zero_weights(self, n_pan):
+        # one zero-width interval switches numpy's linspace to (i / n) * width
+        # for the whole array, which is the scalar call's i * (width / n)
+        # exactly only when n is a power of two; otherwise the panel edges
+        # differ by an ulp
+        hi = self.HI.copy()
+        hi[1, 2] = self.LO[1, 2]
+        u, w = _gl_panels(self.LO, hi, n_pan)
+        assert (w[1, 2] == 0.0).all()
+        assert (u[1, 2] == self.LO[1, 2]).all()
+        for i, k in ((0, 0), (0, 3), (1, 1)):
+            us, ws = _gl_panels(self.LO[i, k], hi[i, k], n_pan)
+            if n_pan == 4:
+                np.testing.assert_array_equal(u[i, k], us)
+                np.testing.assert_array_equal(w[i, k], ws)
+            np.testing.assert_allclose(u[i, k], us, rtol=1e-14, atol=0.0)
+            np.testing.assert_allclose(w[i, k], ws, rtol=1e-14, atol=0.0)
+
+
 GRID = SigmaGrid(boundaries=(0.0, 2.0, 8.0, 20.0, 84.85281374238569), support_set=(1, 2, 3, 4))
+
+
+def first_generation_quad(p, tau_bounds, t0, t1):
+    """Per-band first-generation window integrals by quadrature in u = sqrt(tau)
+    of phi_1(u^2) * 2u * W(u^2), where W(tau) integrates the no-escape
+    probability exp(-kappa_d * (T - t - tau)) over the emission times t in
+    [t0, min(t1, T - tau)]."""
+    kd = p.kappa_d
+
+    def window(tau):
+        t_hi = min(t1, T - tau)
+        if t_hi <= t0:
+            return 0.0
+        if kd == 0.0:
+            return t_hi - t0
+        return (np.exp(-kd * (T - tau - t_hi)) - np.exp(-kd * (T - tau - t0))) / kd
+
+    def integrand(u):
+        return phi_no_desorption(u * u, p) * 2.0 * u * window(u * u)
+
+    u_bounds = np.sqrt(tau_bounds)
+    kinks = np.sqrt([T - t1, T - t0])
+    return np.array([
+        integrate.quad(
+            integrand, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13,
+            points=[k for k in kinks if lo < k < hi] or None,
+        )[0]
+        for lo, hi in zip(u_bounds[:-1], u_bounds[1:])
+    ])
 
 
 class TestSynthPsdr:
@@ -437,11 +500,9 @@ class TestSynthPsdr:
         )
 
     def test_per_band_first_generation_oracle(self):
-        # every band separately against quadrature in u = sqrt(tau) of
-        # phi_1(u^2) * 2u * W(u^2), where W(tau) integrates the no-escape
-        # probability exp(-kappa_d * (T - t - tau)) over the emission times
-        # t in [t_start, min(t_stop, T - tau)]. The windows put T - t_stop
-        # inside a band and above the top band, and T - t_start inside a band.
+        # every band separately against first_generation_quad. The windows
+        # put T - t_stop inside a band and above the top band, and
+        # T - t_start inside a band.
         grid = SigmaGrid(boundaries=(0.0, 2.0, 8.0, 20.0, 40.0, 60.0), support_set=(1, 2))
         windows = [
             (0.0, T), (300.0, 2900.0), (3000.0, 3590.0), (50.0, 700.0),
@@ -451,31 +512,75 @@ class TestSynthPsdr:
             p = params(kappa_d=kd)
             phi = phi_general(p, tau_steps=1024)
             assert phi.n_generations == 1
-            u_bounds = np.sqrt(p.tau_of_sigma_px(grid.boundaries))
             for t0, t1 in windows:
-                def window(tau):
-                    t_hi = min(t1, T - tau)
-                    if t_hi <= t0:
-                        return 0.0
-                    if kd == 0.0:
-                        return t_hi - t0
-                    return (np.exp(-kd * (T - tau - t_hi)) - np.exp(-kd * (T - tau - t0))) / kd
-
-                def integrand(u):
-                    return phi_no_desorption(u * u, p) * 2.0 * u * window(u * u)
-
-                kinks = np.sqrt([T - t1, T - t0])
-                want = np.array([
-                    integrate.quad(
-                        integrand, lo, hi, limit=200, epsabs=0.0, epsrel=1e-13,
-                        points=[k for k in kinks if lo < k < hi] or None,
-                    )[0]
-                    for lo, hi in zip(u_bounds[:-1], u_bounds[1:])
-                ])
+                want = first_generation_quad(p, p.tau_of_sigma_px(grid.boundaries), t0, t1)
                 psdr = synth_psdr([Source(0, 0, 1.0, t0, t1)], grid, phi, (1, 1))
                 got = psdr.data[0, 0] * np.sqrt(grid.widths)
                 np.testing.assert_allclose(
                     got, want, rtol=0.0, atol=1e-10 * want.max(), err_msg=f"{kd=} {t0=} {t1=}"
+                )
+
+    @pytest.mark.parametrize("kd_h", [50.0, 200.0, 2000.0])
+    def test_first_generation_window_oracle_strong_escape(self, kd_h):
+        # _first_generation_window on the default 7-bin grid (tau_K = 2450 s)
+        # against first_generation_quad, as in the per-band oracle. The
+        # windows put the kink H - t_stop inside a band, and H - t_start
+        # above tau_K, inside the top band and inside a middle band. The
+        # shared panel count per window is 5, 5, 4, 4, 4 at kappa_d * H = 50
+        # and 20, 20, 14, 7, 5 at 200 (the floor is 4); the errors are below
+        # 5e-15 of the peak. At 2000 a 4-panel floor alone would be 3.8e-10
+        # off.
+        grid = SigmaGrid(
+            boundaries=(0.0, 2.0, 15.0, 20.0, 30.0, 40.0, 50.0, 70.0),
+            support_set=(1, 2, 3, 4, 5, 6, 7),
+        )
+        p = params(kappa_d=kd_h / T)
+        phi = phi_general(p, tau_steps=256)
+        tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
+        windows = [(0.0, 3000.0), (500.0, 2500.0), (1500.0, 3300.0), (2000.0, 3590.0), (2950.0, 3400.0)]
+        for t0, t1 in windows:
+            want = first_generation_quad(p, tau_bounds, t0, t1)
+            got = _first_generation_window(phi, tau_bounds, t0, t1)
+            np.testing.assert_allclose(
+                got, want, rtol=0.0, atol=1e-13 * want.max(), err_msg=f"{kd_h=} {t0=} {t1=}"
+            )
+
+    def test_first_generation_window_matches_cut_list_loop(self):
+        # the previous layout as the reference: one sorted cut list of the
+        # clipped band edges and the kink, one quadrature per interval with
+        # its own panel count, summed into bands. With every count at the
+        # floor of 4 (kappa_d * H <= 3.6 here) the nodes, weights and sums
+        # are the same and so are the results; at 50 the shared count of 5
+        # only rounds differently
+        grid = SigmaGrid(boundaries=(0.0, 2.0, 15.0, 20.0, 30.0, 40.0, 50.0, 70.0), support_set=(1,))
+        windows = [(0.0, T), (0.0, 3000.0), (1500.0, 3300.0), (2000.0, 3590.0), (T, T)]
+        for kd_h, atol in ((0.0, 0.0), (1.0, 0.0), (3.6, 0.0), (50.0, 1e-15)):
+            p = params(kappa_d=kd_h / T)
+            phi = phi_general(p, tau_steps=256)
+            tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
+            a_coef = p.kappa_a / np.sqrt(np.pi * D)
+            b_coef = p.kappa_a ** 2 / D
+            for t0, t1 in windows:
+                hi, kink = T - t0, T - t1
+                cuts = np.unique(np.clip(np.append(tau_bounds, kink), 0.0, min(hi, tau_bounds[-1])))
+                want = np.zeros(grid.n_bins)
+                for lo_c, hi_c in zip(cuts[:-1], cuts[1:]):
+                    u_lo, u_hi = np.sqrt(lo_c), np.sqrt(hi_c)
+                    n_pan = int(np.clip(np.ceil(p.kappa_d * u_hi * (u_hi - u_lo) / 2.0), 4, 512))
+                    u, w = _gl_panels(u_lo, u_hi, n_pan)
+                    tau = u * u
+                    span = np.maximum(hi - np.maximum(tau, kink), 0.0)
+                    factor = (
+                        np.exp(-p.kappa_d * np.maximum(kink - tau, 0.0))
+                        * span * special.exprel(-p.kappa_d * span)
+                    )
+                    dens = 2.0 * a_coef - 2.0 * b_coef * u * special.erfcx(p.kappa_a * u / np.sqrt(D))
+                    band = np.searchsorted(tau_bounds, lo_c, side="right") - 1
+                    want[band] += np.sum(w * np.maximum(dens, 0.0) * factor)
+                got = _first_generation_window(phi, tau_bounds, t0, t1)
+                np.testing.assert_allclose(
+                    got, want, rtol=0.0, atol=atol * want.max(initial=0.0),
+                    err_msg=f"{kd_h=} {t0=} {t1=}",
                 )
 
     def test_matches_full_grid_reference(self):

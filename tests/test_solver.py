@@ -333,6 +333,21 @@ class TestFistaSolve:
             fista_solve(obs, bank, cfg, op_norm=1e-100)  # absurdly long step
         assert exc.value.trace.costs.size >= 1
 
+    def test_weights_beyond_kernel_reach_of_mask_solve_to_zero(self):
+        # the operator is zero (radii 8 and 14, weights on columns 0-3, mask
+        # on 40-63), so the bound is exactly 0 and the step stays finite:
+        # the unpenalized solve stays at zero with a flat cost trace
+        bank2 = build_kernel_bank(SigmaGrid(boundaries=(0.0, 1.0, 2.0), support_set=(1, 2)))
+        weights, mask = np.zeros((64, 64)), np.zeros((64, 64))
+        weights[:, :4] = 1.0
+        mask[:, 40:] = 1.0
+        data = np.random.default_rng(0).uniform(0.0, 1.0, (64, 64))
+        obs = Observation(data=data, weights=weights, mask=mask)
+        sol, trace = fista_solve(obs, bank2, SolverConfig(lam=0.0, max_iters=50))
+        assert trace.op_norm == 0.0
+        assert np.abs(sol.data).max() <= 1e-12
+        assert (np.diff(trace.costs) <= 0.0).all()
+
     def test_init_validation(self, bank):
         _, obs = _instance(bank, seed=14)
         cfg = SolverConfig(lam=0.1, max_iters=5)
