@@ -34,12 +34,10 @@ from .operator import (
     op_norm_estimate,
 )
 from .physics import (
-    PdeResult,
     PhiTable,
     PhysicalParams,
     Source,
     capture_fraction,
-    pde_oracle,
     phi_general,
     phi_no_desorption,
     phi_norm_sq,
@@ -89,12 +87,10 @@ __all__ = [
     "forward",
     "kernel_radius",
     "op_norm_estimate",
-    "PdeResult",
     "PhiTable",
     "PhysicalParams",
     "Source",
     "capture_fraction",
-    "pde_oracle",
     "phi_general",
     "phi_no_desorption",
     "phi_norm_sq",

@@ -151,7 +151,8 @@ def _cmd_solve(args) -> int:
     write_tensor(out / "recovered.idf", recovered.data)
     trace.to_csv(out / "trace.csv")
     print(
-        f"solve: {trace.iterations} iterations, converged={trace.converged}, "
+        f"solve: {trace.iterations} iterations, stop {trace.stop_reason}, "
+        f"gap {trace.gap:.3g}, "
         f"cost {trace.costs[-1]:.6g} (data {trace.data_terms[-1]:.6g}, "
         f"reg {trace.reg_terms[-1]:.6g}), norm bound {trace.op_norm:.6g}, "
         f"step {trace.step:.3g}"

@@ -60,7 +60,7 @@ class RunConfig:
     # reconstruction (file key "lambda")
     lam: float = 1e-3
     max_iters: int = 500
-    rel_tol: float = 1e-6
+    gap_tol: float = 1e-3
     power_iters: int = 60
     # camera
     noise_sigma: float = 0.01
@@ -106,7 +106,7 @@ class RunConfig:
         return SolverConfig(
             lam=self.lam,
             max_iters=self.max_iters,
-            rel_tol=self.rel_tol,
+            gap_tol=self.gap_tol,
             power_iters=self.power_iters,
         )
 

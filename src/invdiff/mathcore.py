@@ -54,11 +54,14 @@ def omega(sigma: float, m):
 
 
 def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
-    """pmf values for j = 0..j_count-1 at rates ``lam`` (vectorized, log space;
-    exact at lam = 0, where xlogy(0, 0) = 0)."""
+    """pmf values for j = 0..j_count-1 at rates ``lam`` (vectorized, log space
+    from one logarithm per rate; exact at lam = 0, where the j = 0 term
+    j * log(lam) is taken as 0 and the others as -inf)."""
     lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))[None, :]
     j = np.arange(j_count, dtype=np.float64)[:, None]
-    return np.exp(sp.xlogy(j, lam) - lam - sp.gammaln(j + 1.0))
+    log_lam = np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
+    j_log = np.multiply(j, log_lam, out=np.zeros((j_count, lam.shape[1])), where=j > 0)
+    return np.exp(j_log - lam - sp.gammaln(j + 1.0))
 
 
 @dataclass(frozen=True)

@@ -115,24 +115,33 @@ def write_truth_csv(path, sources) -> None:
             )
 
 
+def _is_number(text: str) -> bool:
+    try:
+        float(text)
+    except ValueError:
+        return False
+    return True
+
+
 def read_positions_csv(path) -> np.ndarray:
     """Read (m, n) positions from a CSV whose first two columns are m and n.
 
-    A header row is detected by a non-numeric first field and skipped;
-    extra columns are ignored. Returns a float array of shape (count, 2).
+    The first non-empty line is a header, and skipped, when its first field
+    is not a number; any other row whose first two fields are not numbers
+    is an error. Extra columns are ignored. Returns a float array of shape
+    (count, 2).
     """
-    rows = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            fields = line.split(",")
-            if len(fields) < 2:
-                raise ValueError(f"{path}: need at least two columns, got {line!r}")
-            try:
-                m = float(fields[0])
-            except ValueError:
-                continue  # header
-            rows.append((m, float(fields[1])))
+        lines = [line for line in (raw.strip() for raw in fh) if line]
+    rows = []
+    for i, line in enumerate(lines):
+        fields = line.split(",")
+        if len(fields) < 2:
+            raise ValueError(f"{path}: need at least two columns, got {line!r}")
+        if i == 0 and not _is_number(fields[0]):
+            continue  # header
+        try:
+            rows.append((float(fields[0]), float(fields[1])))
+        except ValueError:
+            raise ValueError(f"{path}: expected two numbers, got {line!r}") from None
     return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 2))

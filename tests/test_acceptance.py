@@ -30,13 +30,13 @@ from invdiff import (
     match_and_score,
     op_norm_estimate,
     parse_config_text,
-    pde_oracle,
     phi_general,
     phi_no_desorption,
     prox_group_nonneg,
 )
 from invdiff.cli import main
 from invdiff.tensorio import read_positions_csv, read_tensor
+from pde_oracle import pde_oracle
 
 
 @pytest.fixture
@@ -251,7 +251,7 @@ def _sweep(obs, bank, grid, truths, op_norm):
     )
     best = None
     for frac in (1e-3, 1e-2, 1e-1):
-        cfg = SolverConfig(lam=frac * lam_max, max_iters=300, rel_tol=1e-6)
+        cfg = SolverConfig(lam=frac * lam_max, max_iters=300)
         sol, trace = fista_solve(obs, bank, cfg, op_norm=op_norm)
         dets = find_sources(aggregate_map(sol.data, grid), 0.05, 4)
         report = match_and_score(dets, truths, radius=4.0)

@@ -134,6 +134,22 @@ class TestTruthCsv:
         path.write_text("2,9\n7,7\n")
         np.testing.assert_array_equal(read_positions_csv(path), [[2, 9], [7, 7]])
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "m,n,rate\n3,4,1.0\nx7,1,2.0\n",  # corrupt row after the header
+            "3,4\nm,n\n",  # a header only leads the file
+            "m,n\nn,m\n3,4\n",  # only one header line
+            "3,4\n8,?\n",  # second field not a number
+        ],
+    )
+    def test_corrupt_row_raises_with_path(self, tmp_path, text):
+        # a dropped truth row would inflate recall in eval
+        path = tmp_path / "pos.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="pos.csv"):
+            read_positions_csv(path)
+
 
 class TestSynth:
     def test_outputs_exist(self, synth_dir):

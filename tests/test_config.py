@@ -103,6 +103,8 @@ class TestParsing:
             parse_config_text("rows = 4\nrestart = true\n")
         with pytest.raises(ValueError, match=r":1: unknown config key 'step_safety'"):
             parse_config_text("step_safety = 0.9")
+        with pytest.raises(ValueError, match=r":1: unknown config key 'rel_tol'"):
+            parse_config_text("rel_tol = 1e-6")
 
     def test_parse_config_reads_file(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -123,10 +125,10 @@ class TestDerivedObjects:
         assert p.horizon == 3600.0
 
     def test_solver_config(self):
-        sc = parse_config_text("lambda = 2.0\nmax_iters = 7\nrel_tol = 1e-8").solver_config()
+        sc = parse_config_text("lambda = 2.0\nmax_iters = 7\ngap_tol = 1e-8").solver_config()
         assert sc.lam == 2.0
         assert sc.max_iters == 7
-        assert sc.rel_tol == 1e-8
+        assert sc.gap_tol == 1e-8
 
     def test_sigma_grid_rejects_empty_lists(self):
         with pytest.raises(ValueError, match="empty list"):

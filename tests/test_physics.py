@@ -20,7 +20,6 @@ from invdiff import (
     build_kernel_bank,
     capture_fraction,
     forward,
-    pde_oracle,
     phi_general,
     phi_no_desorption,
     phi_norm_sq,
@@ -29,6 +28,7 @@ from invdiff import (
     truncation_order,
 )
 from invdiff.physics import _first_generation_window, _gammainc_rows, _gl_panels
+from pde_oracle import pde_oracle
 
 D = 1e-10
 T = 3600.0

@@ -52,9 +52,9 @@ def _instance(bank, m=24, n=24, seed=0, noise=0.02, n_spikes=4):
 class TestSolverConfig:
     def test_defaults(self):
         cfg = SolverConfig(lam=0.1)
-        assert (cfg.max_iters, cfg.rel_tol, cfg.power_iters) == (500, 1e-6, 60)
+        assert (cfg.max_iters, cfg.gap_tol, cfg.power_iters) == (500, 1e-3, 60)
         assert [f.name for f in fields(SolverConfig)] == [
-            "lam", "max_iters", "rel_tol", "power_iters"
+            "lam", "max_iters", "gap_tol", "power_iters"
         ]
 
     def test_validation(self):
@@ -62,8 +62,10 @@ class TestSolverConfig:
             SolverConfig(lam=-1.0)
         with pytest.raises(ValueError, match="max_iters"):
             SolverConfig(lam=0.1, max_iters=0)
-        with pytest.raises(ValueError, match="rel_tol"):
-            SolverConfig(lam=0.1, rel_tol=0.0)
+        for bad in (-1e-3, np.inf, np.nan):
+            with pytest.raises(ValueError, match="gap_tol"):
+                SolverConfig(lam=0.1, gap_tol=bad)
+        assert SolverConfig(lam=0.1, gap_tol=0.0).gap_tol == 0.0
         with pytest.raises(ValueError, match="power_iters"):
             SolverConfig(lam=0.1, power_iters=0)
 
@@ -256,14 +258,15 @@ class TestFistaSolve:
     def test_zero_data_solves_instantly(self, bank):
         obs = Observation.plain(np.zeros((16, 16)))
         sol, trace = fista_solve(obs, bank, SolverConfig(lam=0.5, max_iters=50))
-        assert trace.converged
+        assert trace.stop_reason == "fixed_point" and trace.converged
+        assert trace.gap == 0.0
         assert trace.iterations == 1
         assert sol.data.max() == 0.0
         assert trace.costs[-1] == 0.0
 
     def test_monotone_costs_with_restart(self, bank):
         _, obs = _instance(bank, seed=4, noise=0.05)
-        cfg = SolverConfig(lam=0.3, max_iters=120, rel_tol=1e-14)
+        cfg = SolverConfig(lam=0.3, max_iters=120, gap_tol=0.0)
         _, trace = fista_solve(obs, bank, cfg)
         diffs = np.diff(trace.costs)
         assert (diffs <= 1e-10 * max(1.0, trace.costs[0])).all()
@@ -289,8 +292,8 @@ class TestFistaSolve:
 
     def test_close_to_long_run_reference(self, bank):
         _, obs = _instance(bank, m=32, n=32, seed=6, noise=0.03)
-        short = SolverConfig(lam=0.5, max_iters=80, rel_tol=1e-14)
-        long = SolverConfig(lam=0.5, max_iters=800, rel_tol=1e-14)
+        short = SolverConfig(lam=0.5, max_iters=80, gap_tol=0.0)
+        long = SolverConfig(lam=0.5, max_iters=800, gap_tol=0.0)
         _, tr_short = fista_solve(obs, bank, short)
         _, tr_long = fista_solve(obs, bank, long)
         ref = tr_long.costs[-1]
@@ -300,7 +303,7 @@ class TestFistaSolve:
         # at a minimum of the smooth term over the non-negative orthant the
         # gradient must be (almost) non-negative wherever the solution is 0
         _, obs = _instance(bank, m=16, n=16, seed=10, noise=0.0)
-        cfg = SolverConfig(lam=0.0, max_iters=600, rel_tol=1e-13)
+        cfg = SolverConfig(lam=0.0, max_iters=600, gap_tol=0.0)
         sol, _ = fista_solve(obs, bank, cfg)
         g = grad_data(sol.data, obs, bank)
         at_zero = sol.data == 0.0
@@ -314,7 +317,7 @@ class TestFistaSolve:
         a = np.zeros((64, 64, 4))
         a[32, 32] = [5.0, 3.0, 2.0, 1.0]
         obs = Observation.plain(forward(a, bank4))
-        cfg = SolverConfig(lam=1e-8, max_iters=500, rel_tol=1e-14)
+        cfg = SolverConfig(lam=1e-8, max_iters=500, gap_tol=0.0)
         _, trace = fista_solve(obs, bank4, cfg)
         assert trace.data_terms[-1] < 1e-4 * float(np.sum(obs.data**2))
 
@@ -328,10 +331,12 @@ class TestFistaSolve:
 
     def test_divergence_raises_with_trace(self, bank):
         _, obs = _instance(bank, seed=13)
-        cfg = SolverConfig(lam=0.1, max_iters=400, rel_tol=1e-14)
+        cfg = SolverConfig(lam=0.1, max_iters=400, gap_tol=0.0)
         with pytest.raises(SolverDivergenceError) as exc:
             fista_solve(obs, bank, cfg, op_norm=1e-100)  # absurdly long step
         assert exc.value.trace.costs.size >= 1
+        assert exc.value.trace.stop_reason == "diverged"
+        assert not exc.value.trace.converged
 
     def test_weights_beyond_kernel_reach_of_mask_solve_to_zero(self):
         # the operator is zero (radii 8 and 14, weights on columns 0-3, mask
@@ -360,11 +365,11 @@ class TestFistaSolve:
 
     def test_warm_start_converges_immediately_at_solution(self, bank):
         _, obs = _instance(bank, seed=15, noise=0.02)
-        cfg = SolverConfig(lam=0.6, max_iters=400, rel_tol=1e-13)
+        cfg = SolverConfig(lam=0.6, max_iters=400, gap_tol=1e-9)
         sol, trace = fista_solve(obs, bank, cfg)
         if not trace.converged:
             pytest.skip("fixture did not converge; warm-start check not meaningful")
-        cfg2 = SolverConfig(lam=0.6, max_iters=400, rel_tol=1e-13)
+        cfg2 = SolverConfig(lam=0.6, max_iters=400, gap_tol=1e-9)
         _, trace2 = fista_solve(obs, bank, cfg2, init=sol.data, op_norm=trace.op_norm)
         assert trace2.iterations <= trace.iterations
 
@@ -372,7 +377,7 @@ class TestFistaSolve:
         _, obs = _instance(bank, seed=16)
         # a NumPy scalar norm makes a NumPy scalar step, whose repr is not a number
         op_norm = np.float64(op_norm_estimate(obs, bank, 20))
-        cfg = SolverConfig(lam=0.4, max_iters=12, rel_tol=1e-14)
+        cfg = SolverConfig(lam=0.4, max_iters=12, gap_tol=0.0)
         _, trace = fista_solve(obs, bank, cfg, op_norm=op_norm)
         path = tmp_path / "trace.csv"
         trace.to_csv(path)
@@ -382,3 +387,49 @@ class TestFistaSolve:
         first = lines[1].split(",")
         assert float(first[1]) == trace.costs[0]
         assert float(first[4]) == trace.step
+
+
+class TestStopRule:
+    def test_gap_bounds_the_suboptimality_at_every_stop(self, bank):
+        # weak duality: the dual value is a lower bound on the optimum, so
+        # the reported gap can only overstate the distance to it
+        _, obs = _instance(bank, seed=21, noise=0.05)
+        for lam in (0.05, 0.3, 1.0):  # the last is above lambda_max
+            _, ref = fista_solve(obs, bank, SolverConfig(lam=lam, max_iters=4000, gap_tol=1e-11))
+            assert ref.converged and ref.gap <= 1e-11
+            p_star = ref.costs[-1]
+            for gap_tol, max_iters in ((1e-1, 500), (1e-3, 500), (1e-5, 500), (0.0, 3), (0.0, 30)):
+                cfg = SolverConfig(lam=lam, max_iters=max_iters, gap_tol=gap_tol)
+                _, trace = fista_solve(obs, bank, cfg, op_norm=ref.op_norm)
+                p = trace.costs[-1]
+                assert trace.gap >= 0.0
+                assert trace.gap >= (p - p_star) / p - 1e-12
+                if trace.stop_reason == "gap":
+                    assert trace.gap <= gap_tol
+
+    def test_gap_and_cap_stop_reasons(self, bank):
+        # the fixed_point reason is test_zero_data_solves_instantly's
+        _, obs = _instance(bank, seed=22, noise=0.0)
+        _, trace = fista_solve(obs, bank, SolverConfig(lam=0.1, max_iters=500, gap_tol=1e-2))
+        assert trace.stop_reason == "gap" and trace.converged
+        assert 0.0 <= trace.gap <= 1e-2
+        assert trace.iterations < 500
+
+        _, trace = fista_solve(obs, bank, SolverConfig(lam=0.1, max_iters=5, gap_tol=1e-2))
+        assert trace.stop_reason == "max_iters" and not trace.converged
+        assert trace.iterations == 5 and trace.gap > 1e-2
+
+    def test_no_certificate_without_a_feasible_dual_point(self, bank):
+        # an unpenalized bin with a negative gradient, or lam == 0, leaves
+        # only the zero dual point: the gap stays 1 and never stops a solve
+        partial = build_kernel_bank(SigmaGrid(boundaries=(0.0, 1.5, 3.0, 5.0), support_set=(1, 2)))
+        a = np.zeros((24, 24, 3))
+        a[6, 7, 2], a[15, 12, 0], a[18, 18, 2] = 2.0, 1.5, 1.0
+        img = forward(a, partial)
+        rng = np.random.default_rng(3)
+        obs = Observation.plain(img + 0.02 * img.max() * rng.standard_normal(img.shape))
+        for solve_bank, lam in ((partial, 0.2), (bank, 0.0)):
+            cfg = SolverConfig(lam=lam, max_iters=400, gap_tol=0.5)
+            _, trace = fista_solve(obs, solve_bank, cfg)
+            assert trace.stop_reason == "max_iters"
+            assert trace.gap == 1.0
