@@ -17,11 +17,7 @@ from .detect import (
     find_sources,
     match_and_score,
 )
-from .mathcore import (
-    Tabulated1D,
-    conv_power_seq,
-    omega,
-)
+from .mathcore import omega
 from .operator import (
     KernelBank,
     Observation,
@@ -51,7 +47,6 @@ from .solver import (
     SolverDivergenceError,
     cost,
     fista_solve,
-    grad_data,
     group_norm_sum,
     prox_group_nonneg,
 )
@@ -75,8 +70,6 @@ __all__ = [
     "aggregate_map",
     "find_sources",
     "match_and_score",
-    "Tabulated1D",
-    "conv_power_seq",
     "omega",
     "KernelBank",
     "Observation",
@@ -102,7 +95,6 @@ __all__ = [
     "SolverDivergenceError",
     "cost",
     "fista_solve",
-    "grad_data",
     "group_norm_sum",
     "prox_group_nonneg",
     "read_pgm16",

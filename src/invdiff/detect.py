@@ -155,6 +155,8 @@ def match_and_score(
     then column). Unmatched detections are false positives, unmatched
     truths false negatives. Precision (recall) is defined as 1.0 when there
     are no detections (no truths), so empty-on-empty scores F1 = 1.0.
+    Non-finite truth coordinates are rejected: a NaN distance would claim a
+    detection ahead of a true source at distance 0.
     """
     if not (np.isfinite(radius) and radius >= 0):
         raise ValueError(f"radius must be finite and >= 0, got {radius}")
@@ -163,6 +165,8 @@ def match_and_score(
         t = np.empty((0, 2))
     if t.ndim != 2 or t.shape[1] != 2:
         raise ValueError(f"truths must be (count, 2), got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise ValueError("truth coordinates must be finite")
     n_det = len(detections)
     n_tru = t.shape[0]
     taken = np.zeros(n_tru, dtype=bool)

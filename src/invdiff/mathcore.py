@@ -1,17 +1,15 @@
-"""Pixel response, Poisson helpers and tabulated densities.
+"""Pixel response, Poisson helpers and convolution powers of a density.
 
 Everything in this module is a pure function of its arguments. The pixel
-response ``omega`` and the Poisson helpers are the numeric bedrock for kernel
-construction and for the desorption-series tabulation in :mod:`invdiff.physics`,
-which takes the scaled complementary error function straight from
-``scipy.special.erfcx``.
-The convolution powers of a tabulated density take one path at every table
-size: real FFTs padded to cover the linear convolution, so no sample wraps.
+response ``omega`` is the numeric bedrock of kernel construction. The Poisson
+pmf rows and ``conv_powers`` serve the rebinding-series tabulation in
+:mod:`invdiff.physics`, which takes the scaled complementary error function
+straight from ``scipy.special.erfcx``. ``conv_powers`` returns all powers as
+one array and takes one path at every table size: real FFTs padded to cover
+the linear convolution, so no sample wraps.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -64,62 +62,23 @@ def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
     return np.exp(j_log - lam - sp.gammaln(j + 1.0))
 
 
-@dataclass(frozen=True)
-class Tabulated1D:
-    """Non-negative samples of a function on a uniform grid.
+def conv_powers(values: np.ndarray, step: float, j_max: int) -> np.ndarray:
+    """The first ``j_max`` (>= 1) convolutional powers of a tabulated density.
 
-    ``values[i]`` is the sample at ``origin_offset + i * step``. Used for
-    densities over elapsed time, so values are required non-negative.
+    Row j - 1 of the returned (j_max, n) table is the j-fold self-convolution
+    of the n samples ``values``, each discrete convolution scaled by the grid
+    step so the row approximates the continuous j-fold power, and clipped at
+    0. Every power is truncated to the table length n: both operands have
+    one-sided support, so the retained samples are exact. The real-FFT pad
+    covers the full linear convolution of two n-sample rows, so no sample
+    wraps. A power of a table whose first sample sits at offset h from the
+    origin has its first sample at j * h.
     """
-
-    values: np.ndarray
-    step: float
-    origin_offset: float = 0.0
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=np.float64)
-        if vals.ndim != 1 or vals.size == 0:
-            raise ValueError("values must be a non-empty 1D array")
-        if not np.isfinite(vals).all():
-            raise ValueError("values must be finite")
-        if (vals < 0).any():
-            raise ValueError("values must be non-negative")
-        if not (np.isfinite(self.step) and self.step > 0):
-            raise ValueError(f"step must be finite and > 0, got {self.step}")
-        if not (np.isfinite(self.origin_offset) and self.origin_offset >= 0):
-            raise ValueError("origin_offset must be finite and >= 0")
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "step", float(self.step))
-        object.__setattr__(self, "origin_offset", float(self.origin_offset))
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.origin_offset + self.step * np.arange(self.values.size)
-
-    @property
-    def mass(self) -> float:
-        """Riemann-sum integral of the tabulated function."""
-        return float(self.step * self.values.sum())
-
-
-def conv_power_seq(tab: Tabulated1D, j_max: int, max_len: int):
-    """Yield (j, power) for j = 1..j_max: the j-th convolutional power of a
-    tabulated density, each built from the previous one.
-
-    Discrete convolutions are scaled by the grid step so the result
-    approximates the continuous j-fold self-convolution. Both operands have
-    one-sided support, so truncating every power to ``max_len`` samples
-    leaves the retained range exact while bounding the cost; the FFT pad
-    covers the full linear convolution of a ``max_len`` prefix with the
-    table. The output grid origin is j times the input origin.
-    """
-    if j_max < 1:
-        raise ValueError(f"j_max must be >= 1, got {j_max}")
-    pad = next_fast_len(max_len + tab.values.size - 1, real=True)
-    base_hat = rfft(tab.values, pad)
-    cur = tab.values[:max_len].copy()
-    yield 1, Tabulated1D(cur, tab.step, tab.origin_offset)
-    for j in range(2, j_max + 1):
-        cur = irfft(rfft(cur, pad) * base_hat, pad)[:max_len] * tab.step
-        cur = np.maximum(cur, 0.0)
-        yield j, Tabulated1D(cur, tab.step, tab.origin_offset * j)
+    n = values.size
+    pad = next_fast_len(2 * n - 1, real=True)
+    base_hat = rfft(values, pad)
+    out = np.empty((j_max, n))
+    out[0] = values
+    for j in range(1, j_max):
+        out[j] = np.maximum(irfft(rfft(out[j - 1], pad) * base_hat, pad)[:n] * step, 0.0)
+    return out

@@ -309,42 +309,47 @@ def weighted_misfit(fwd: np.ndarray, obs: Observation) -> float:
 def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> float:
     """Upper bound on the largest singular value of the weighted, masked operator.
 
-    Power iteration on the image-side map d -> forward(adjoint(d)), started
-    from 1 on the pixels with positive weight. Kernels are clipped at 0, so
-    this map is entrywise non-negative, and on the positive-weight pixels it
-    is similar to the symmetric A A^T. Each iterate's Collatz-Wielandt ratio,
-    the largest (forward(adjoint(d)))_i / d_i over those pixels with d_i > 0,
-    is therefore at least ||A||^2 (a weighted pixel that d never reaches has
-    an all-zero row and column). The square root of the smallest ratio seen
-    is returned: a bound for any ``iters`` >= 1 that never increases with
-    it and closes on the norm as the iterates converge.
-
-    No kernel reaches past max(bank.radii) pixels in either axis, so when no
-    positive-weight pixel is that close to a masked-in pixel the operator
-    is zero and 0.0 is returned exactly; the iterates would carry only FFT
-    round-off, and a bound near 1e-16 would make the step absurdly long.
+    Power iteration on the image-side map d -> forward(adjoint(d)). No
+    kernel reaches past max(bank.radii) pixels in either axis, so the map
+    is exactly zero in the row and the column of every pixel with no
+    masked-in pixel that close, and of every pixel with zero weight (its
+    column). The iteration therefore runs only on the reached pixels: the
+    positive-weight pixels with a masked-in pixel within that reach. It
+    starts from 1 on them and zeroes every iterate elsewhere, where it holds
+    only FFT round-off. Kernels are clipped at 0, so on the reached pixels
+    the map is entrywise non-negative and similar to the symmetric A A^T.
+    Each iterate's Collatz-Wielandt ratio, the largest
+    (forward(adjoint(d)))_i / d_i over reached pixels with d_i > 0, is
+    therefore at least ||A||^2 (a reached pixel that d never reaches has an
+    all-zero row and column). The square root of the smallest ratio seen is
+    returned: a bound for any ``iters`` >= 1 that never increases with it
+    and closes on the norm as the iterates converge. With no reached pixel
+    the operator is zero and 0.0 is returned exactly; a bound near 1e-16
+    would make the step absurdly long.
     """
     if iters < 1:
         raise ValueError(f"iters must be >= 1, got {iters}")
-    live = obs.weights > 0
     # summed-area table of the mask: masked pixels in each weighted pixel's
     # (2r + 1)-square reach
     r, (m, n) = max(bank.radii), obs.mask.shape
     sat = np.zeros((m + 1, n + 1))
     sat[1:, 1:] = obs.mask.cumsum(axis=0).cumsum(axis=1)
-    i, j = np.nonzero(live)
+    i, j = np.nonzero(obs.weights > 0)
     i0, i1 = np.maximum(i - r, 0), np.minimum(i + r + 1, m)
     j0, j1 = np.maximum(j - r, 0), np.minimum(j + r + 1, n)
-    if not (sat[i1, j1] - sat[i0, j1] - sat[i1, j0] + sat[i0, j0]).any():
+    reached = np.zeros((m, n), dtype=bool)
+    reached[i, j] = (sat[i1, j1] - sat[i0, j1] - sat[i1, j0] + sat[i0, j0]) > 0
+    if not reached.any():
         return 0.0
-    d = live.astype(np.float64)
+    d = reached.astype(np.float64)
     bound = np.inf
     for _ in range(iters):
         y = forward(adjoint(d, obs, bank), bank)
+        y[~reached] = 0.0
         ny = np.linalg.norm(y)
         if ny == 0.0:
             return 0.0
-        pos = live & (d > 0)
+        pos = d > 0
         bound = min(bound, float((y[pos] / d[pos]).max()))
         d = y / ny
     return float(np.sqrt(bound))

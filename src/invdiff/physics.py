@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .mathcore import Tabulated1D, conv_power_seq, _poisson_pmf_row
+from .mathcore import _poisson_pmf_row, conv_powers
 from .operator import PsdrTensor, SigmaGrid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -185,9 +185,7 @@ class PhiTable:
     """
 
     params: PhysicalParams
-    eps: float
     j_max: int
-    norm_sq: float
     tau_grid: np.ndarray
     values: np.ndarray
     powers: np.ndarray
@@ -281,23 +279,18 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     norm_sq = phi_norm_sq(params, step / 2.0)
     j_eps = truncation_order(eps, params, norm_sq)
     n_gen = max(j_eps - 1, 1)
-    base = Tabulated1D(
-        values=_cell_averaged_density(params, tau_steps, step, base_vals),
-        step=step,
-        origin_offset=step / 2.0,
-    )
-    powers = np.empty((n_gen, tau_steps))
-    for j, pw in conv_power_seq(base, n_gen, max_len=tau_steps):
-        if j == 1:
-            powers[0] = base_vals
-        else:
-            powers[j - 1] = np.interp(tau, pw.grid, pw.values)
+    cell_averaged = _cell_averaged_density(params, tau_steps, step, base_vals)
+    powers = conv_powers(cell_averaged, step, n_gen)
+    powers[0] = base_vals
+    # the j-fold power of the midpoint-aligned table starts at j * step / 2
+    for j in range(2, n_gen + 1):
+        grid = step / 2.0 * j + step * np.arange(tau_steps)
+        powers[j - 1] = np.interp(tau, grid, powers[j - 1])
     lam = params.kappa_d * (horizon - tau)
     pois = _poisson_pmf_row(n_gen, lam)
     values = np.einsum("jn,jn->n", powers, pois)
     return PhiTable(
-        params=params, eps=float(eps), j_max=j_eps, norm_sq=norm_sq,
-        tau_grid=tau, values=values, powers=powers,
+        params=params, j_max=j_eps, tau_grid=tau, values=values, powers=powers,
     )
 
 

@@ -131,12 +131,6 @@ def cost(a, obs: Observation, bank: KernelBank, cfg: SolverConfig):
     return total, data_term, reg_term
 
 
-def grad_data(a, obs: Observation, bank: KernelBank) -> np.ndarray:
-    """Gradient of the weighted data misfit: 2 * adjoint(forward(a) - data)."""
-    data = tensor_data(a)
-    return 2.0 * adjoint(forward(data, bank) - obs.data, obs, bank)
-
-
 def prox_group_nonneg(v: np.ndarray, threshold: float, support_mask: np.ndarray) -> np.ndarray:
     """Proximal map of the non-negative group penalty.
 

@@ -128,7 +128,8 @@ def read_positions_csv(path) -> np.ndarray:
 
     The first non-empty line is a header, and skipped, when its first field
     is not a number; any other row whose first two fields are not numbers
-    is an error. Extra columns are ignored. Returns a float array of shape
+    is an error, and so is a non-finite coordinate (``nan``, ``inf``).
+    Extra columns are ignored. Returns a float array of shape
     (count, 2).
     """
     with open(path, "r", encoding="utf-8") as fh:
@@ -141,7 +142,10 @@ def read_positions_csv(path) -> np.ndarray:
         if i == 0 and not _is_number(fields[0]):
             continue  # header
         try:
-            rows.append((float(fields[0]), float(fields[1])))
+            row = (float(fields[0]), float(fields[1]))
         except ValueError:
             raise ValueError(f"{path}: expected two numbers, got {line!r}") from None
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}: coordinates must be finite, got {line!r}")
+        rows.append(row)
     return np.asarray(rows, dtype=np.float64) if rows else np.empty((0, 2))

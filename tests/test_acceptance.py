@@ -16,17 +16,14 @@ from invdiff import (
     PhysicalParams,
     SigmaGrid,
     SolverConfig,
-    Tabulated1D,
     adjoint,
     aggregate_map,
     build_kernel_bank,
     capture_fraction,
-    conv_power_seq,
     default_config,
     find_sources,
     fista_solve,
     forward,
-    grad_data,
     match_and_score,
     op_norm_estimate,
     parse_config_text,
@@ -35,7 +32,9 @@ from invdiff import (
     prox_group_nonneg,
 )
 from invdiff.cli import main
+from invdiff.mathcore import conv_powers
 from invdiff.tensorio import read_positions_csv, read_tensor
+from grad_oracle import grad_data
 from pde_oracle import pde_oracle
 
 
@@ -145,16 +144,15 @@ def _measured_dropped_tail(params: PhysicalParams, eps: float, tau_steps: int = 
     step = horizon / tau_steps
     edges = np.arange(tau_steps + 1) * step
     cell_avg = np.diff([capture_fraction(e, params) if e > 0 else 0.0 for e in edges]) / step
-    base = Tabulated1D(values=cell_avg, step=step, origin_offset=step / 2.0)
     tau = phi.tau_grid
     t_grid = np.linspace(0.0, horizon, 64)[1:]
-    sup_tail = np.zeros(())
     tail_by_cell = np.zeros((t_grid.size, tau_steps))
     tiny_streak = 0
-    for j, pw in conv_power_seq(base, kept + 400, max_len=tau_steps):
-        if j <= kept:
-            continue
-        dens = np.interp(tau, pw.grid, pw.values, left=0.0, right=0.0)
+    powers = conv_powers(cell_avg, step, kept + 400)
+    for j in range(kept + 1, kept + 401):
+        # the j-fold power of the midpoint-aligned table starts at j * step / 2
+        grid = step / 2.0 * j + step * np.arange(tau_steps)
+        dens = np.interp(tau, grid, powers[j - 1], left=0.0, right=0.0)
         lam = params.kappa_d * (t_grid[:, None] - tau[None, :])
         with np.errstate(invalid="ignore"):
             term = np.where(lam >= 0, dens[None, :] * stats.poisson.pmf(j - 1, np.maximum(lam, 0.0)), 0.0)

@@ -141,6 +141,9 @@ class TestTruthCsv:
             "3,4\nm,n\n",  # a header only leads the file
             "m,n\nn,m\n3,4\n",  # only one header line
             "3,4\n8,?\n",  # second field not a number
+            "3,4\nnan,3\n",  # not a finite coordinate
+            "m,n\n4,inf\n",
+            "-inf,2\n",
         ],
     )
     def test_corrupt_row_raises_with_path(self, tmp_path, text):
@@ -294,6 +297,23 @@ class TestSolveDetectEval:
         text = (out / "metrics.csv").read_text()
         assert "f1,1.0" in text
         assert "f1 1.0000" in capsys.readouterr().out
+
+
+    def test_eval_rejects_non_finite_truth(self, cfg_path, synth_dir, tmp_path, capsys):
+        truth = tmp_path / "truth.csv"
+        truth.write_text("m,n\nnan,3\n5,5\n")
+        rc = main(
+            [
+                "eval",
+                "--config", str(cfg_path),
+                "--input", str(synth_dir / "psdr.idf"),
+                "--truth", str(truth),
+                "--out", str(tmp_path / "ev"),
+            ]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "truth.csv" in err and "nan,3" in err
 
 
 class TestKernels:

@@ -176,6 +176,15 @@ class TestMatchAndScore:
         rep = match_and_score(none, np.empty((0, 2)), 4.0)
         assert (rep.precision, rep.recall, rep.f1) == (1.0, 1.0, 1.0)
 
+    def test_rejects_non_finite_truths(self):
+        # a NaN row would otherwise claim the detection (NaN distances
+        # compare false against the radius and against every other key),
+        # leaving the true source at distance 0 a miss
+        for bad in (np.nan, np.inf, -np.inf):
+            truths = np.array([[bad, 3.0], [5.0, 5.0]])
+            with pytest.raises(ValueError, match="finite"):
+                match_and_score(_det([[5, 5]]), truths, 4.0)
+
     def test_f1_formula(self):
         truths = np.array([[0.0, 0.0], [20.0, 20.0]])
         rep = match_and_score(_det([[0, 0], [5, 5], [9, 9]]), truths, radius=2.0)

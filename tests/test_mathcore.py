@@ -9,12 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfcx
 
-from invdiff.mathcore import (
-    Tabulated1D,
-    _poisson_pmf_row,
-    conv_power_seq,
-    omega,
-)
+from invdiff.mathcore import _poisson_pmf_row, conv_powers, omega
 
 
 class TestErfcx:
@@ -110,110 +105,83 @@ class TestPoissonPmf:
         assert 0.0 <= val < 1e-300
 
 
-class TestTabulated1D:
-    def test_grid_and_mass(self):
-        tab = Tabulated1D(values=np.array([1.0, 2.0, 3.0]), step=0.5, origin_offset=0.25)
-        np.testing.assert_allclose(tab.grid, [0.25, 0.75, 1.25])
-        assert tab.mass == pytest.approx(0.5 * 6.0)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            Tabulated1D(values=np.array([1.0, -0.1]), step=0.5)
-        with pytest.raises(ValueError):
-            Tabulated1D(values=np.array([[1.0]]), step=0.5)
-        with pytest.raises(ValueError):
-            Tabulated1D(values=np.array([1.0]), step=0.0)
-        with pytest.raises(ValueError):
-            Tabulated1D(values=np.array([np.nan]), step=0.5)
-        with pytest.raises(ValueError):
-            Tabulated1D(values=np.array([1.0]), step=0.5, origin_offset=-0.1)
+def _midpoints(n, step):
+    """Cell midpoints (i + 1/2) * step, the grid of every table below."""
+    return (np.arange(n) + 0.5) * step
 
 
 def _box_density(step, width):
     """Uniform density on (0, width), tabulated at cell midpoints."""
-    n = int(round(width / step))
-    return Tabulated1D(values=np.full(n, 1.0 / width), step=step, origin_offset=step / 2)
+    return np.full(int(round(width / step)), 1.0 / width)
 
 
-def _power(tab, j, max_len=None):
-    """Last power from conv_power_seq; untruncated unless max_len is given."""
-    if max_len is None:
-        max_len = j * (tab.values.size - 1) + 1
-    return list(conv_power_seq(tab, j, max_len=max_len))[-1][1]
+def _power(values, step, j):
+    """Untruncated j-th power: the input is zero-padded to the full support
+    of the j-fold convolution, j * (n - 1) + 1 samples."""
+    padded = np.zeros(j * (values.size - 1) + 1)
+    padded[: values.size] = values
+    return conv_powers(padded, step, j)[-1]
 
 
 class TestConvPower:
     def test_identity_power(self):
-        tab = _box_density(0.01, 1.0)
-        out = _power(tab, 1)
-        np.testing.assert_array_equal(out.values, tab.values)
-        assert out.origin_offset == tab.origin_offset
+        vals = _box_density(0.01, 1.0)
+        out = conv_powers(vals, 0.01, 1)
+        assert out.shape == (1, vals.size)
+        np.testing.assert_array_equal(out[0], vals)
 
     def test_box_squared_is_triangle(self):
-        # self-convolution of U(0,1) is the triangle density on (0,2)
+        # self-convolution of U(0,1) is the triangle density on (0,2); the
+        # j-fold power of a midpoint table starts at j * step / 2
         step = 1.0 / 512
-        tab = _box_density(step, 1.0)
-        out = _power(tab, 2)
-        grid = out.grid
+        out = _power(_box_density(step, 1.0), step, 2)
+        grid = step + step * np.arange(out.size)
         want = np.where(grid <= 1.0, grid, 2.0 - grid)
-        np.testing.assert_allclose(out.values, np.clip(want, 0, None), atol=2 * step)
+        np.testing.assert_allclose(out, np.clip(want, 0, None), atol=2 * step)
 
     def test_mass_is_multiplicative(self):
         step = 1.0 / 256
-        tab = Tabulated1D(
-            values=np.exp(-_box_density(step, 1.0).grid), step=step, origin_offset=step / 2
-        )
-        m1 = tab.mass
+        vals = np.exp(-_midpoints(256, step))
+        m1 = step * vals.sum()
         for j in (2, 3, 4):
-            assert _power(tab, j).mass == pytest.approx(m1**j, rel=1e-3)
+            assert step * _power(vals, step, j).sum() == pytest.approx(m1**j, rel=1e-3)
 
     def test_gaussian_variance_adds(self):
         # j-fold self-convolution of a near-Gaussian density: mean and
         # variance scale linearly in j (moment oracle)
         step = 0.02
-        grid = np.arange(2048) * step + step / 2
         mu, sd = 4.0, 0.5
+        grid = _midpoints(2048, step)
         dens = np.exp(-0.5 * ((grid - mu) / sd) ** 2) / (sd * np.sqrt(2 * np.pi))
-        tab = Tabulated1D(values=dens, step=step, origin_offset=step / 2)
-        out = _power(tab, 3)
-        g = out.grid
-        m0 = out.mass
-        mean = step * (g * out.values).sum() / m0
-        var = step * ((g - mean) ** 2 * out.values).sum() / m0
+        out = _power(dens, step, 3)
+        g = 3 * step / 2 + step * np.arange(out.size)
+        m0 = step * out.sum()
+        mean = step * (g * out).sum() / m0
+        var = step * ((g - mean) ** 2 * out).sum() / m0
         assert m0 == pytest.approx(1.0, abs=1e-6)
         assert mean == pytest.approx(3 * mu, rel=1e-6)
         assert var == pytest.approx(3 * sd * sd, rel=1e-4)
 
     def test_max_len_prefix_is_exact(self):
-        # one-sided supports: truncating intermediates never changes the
-        # retained samples
+        # one-sided supports: truncating every power to the table length
+        # never changes the retained samples
         step = 1.0 / 64
-        tab = _box_density(step, 1.0)
-        full = _power(tab, 4)
-        short = _power(tab, 4, max_len=40)
-        np.testing.assert_allclose(short.values, full.values[:40], rtol=0, atol=1e-12)
+        vals = _box_density(step, 1.0)
+        full = _power(vals, step, 4)
+        short = conv_powers(vals[:40], step, 4)[-1]
+        np.testing.assert_allclose(short, full[:40], rtol=0, atol=1e-12)
 
     def test_matches_np_convolve_oracle(self):
         # direct np.convolve powers, truncated the same way; n = 64 and 4096
         # lie on either side of the size where a method="auto" convolution
         # would switch between direct and FFT evaluation
-        for n, max_len in ((64, 40), (4096, 4096)):
+        for n in (64, 4096):
             step = 1.0 / n
-            grid = (np.arange(n) + 0.5) * step
-            tab = Tabulated1D(values=3.0 * np.exp(-3.0 * grid), step=step, origin_offset=step / 2)
-            want = tab.values[:max_len]
-            for j, pw in conv_power_seq(tab, 4, max_len=max_len):
+            vals = 3.0 * np.exp(-3.0 * _midpoints(n, step))
+            out = conv_powers(vals, step, 4)
+            assert out.shape == (4, n)
+            want = vals
+            for j in range(1, 5):
                 if j > 1:
-                    want = np.maximum(np.convolve(want, tab.values)[:max_len] * step, 0.0)
-                assert pw.values.shape == want.shape
-                np.testing.assert_allclose(pw.values, want, rtol=0, atol=1e-14 * want.max())
-                assert pw.origin_offset == pytest.approx(j * step / 2)
-
-    def test_origin_scales_with_power(self):
-        tab = _box_density(0.25, 1.0)
-        assert _power(tab, 3).origin_offset == pytest.approx(3 * 0.125)
-
-    def test_rejects_bad_power(self):
-        tab = _box_density(0.25, 1.0)
-        with pytest.raises(ValueError):
-            list(conv_power_seq(tab, 0, max_len=4))
+                    want = np.maximum(np.convolve(want, vals)[:n] * step, 0.0)
+                np.testing.assert_allclose(out[j - 1], want, rtol=0, atol=1e-14 * want.max())

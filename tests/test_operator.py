@@ -362,6 +362,23 @@ class TestOpNormEstimate:
         sigma = dense_norm(obs, bank2)
         assert sigma * (1 - 1e-12) <= op_norm_estimate(obs, bank2, 60) <= sigma * (1 + 1e-8)
 
+    def test_mask_hole_beyond_every_kernel_stays_tight(self):
+        # radii 8 and 14; the mask keeps columns 40-55 of 96, so columns
+        # 0-25 and 70-95 are out of reach of every masked pixel and carry
+        # only FFT round-off, whose ratios must be left out of the bound
+        from norm_oracle import dense_norm
+
+        bank2 = build_kernel_bank(SigmaGrid(boundaries=(0.0, 1.0, 2.0), support_set=(1, 2)))
+        mask = np.zeros((12, 96))
+        mask[:, 40:56] = 1.0
+        obs = Observation(data=np.zeros((12, 96)), weights=np.ones((12, 96)), mask=mask)
+        sigma = dense_norm(obs, bank2)
+        for it in (1, 5, 20, 60):
+            est = op_norm_estimate(obs, bank2, it)
+            assert est >= sigma * (1 - 1e-12), it
+            if it >= 20:
+                assert est <= sigma * 1.01, it
+
     def test_zero_mask_gives_zero(self, bank):
         obs = Observation(
             data=np.zeros((12, 12)), weights=np.ones((12, 12)), mask=np.zeros((12, 12))

@@ -21,11 +21,11 @@ from invdiff import (
     cost,
     fista_solve,
     forward,
-    grad_data,
     group_norm_sum,
     op_norm_estimate,
     prox_group_nonneg,
 )
+from grad_oracle import grad_data
 
 GRID = SigmaGrid(boundaries=(0.0, 1.5, 3.0, 5.0), support_set=(1, 2, 3))
 
