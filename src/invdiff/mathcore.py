@@ -1,8 +1,11 @@
 """Pixel response, Poisson helpers and convolution powers of a density.
 
 Everything in this module is a pure function of its arguments. The pixel
-response ``omega`` is the numeric bedrock of kernel construction. The Poisson
-pmf rows and ``conv_powers`` serve the rebinding-series tabulation in
+response is the numeric bedrock of kernel construction, with one
+implementation: ``_omega_rows`` gives it at offsets 0..r for many scales at
+once (the kernel bank takes one row per quadrature scale), and ``omega``
+picks single offsets from such a row. The Poisson pmf rows and
+``conv_powers`` serve the rebinding-series tabulation in
 :mod:`invdiff.physics`, which takes the scaled complementary error function
 straight from ``scipy.special.erfcx``. ``conv_powers`` returns all powers as
 one array and takes one path at every table size: real FFTs padded to cover
@@ -23,6 +26,23 @@ def _psi_tail(x: np.ndarray) -> np.ndarray:
     return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) - x * sp.ndtr(-x)
 
 
+def _omega_rows(sigmas: np.ndarray, r: int) -> np.ndarray:
+    """Pixel response at offsets 0..r, one row per scale in ``sigmas``.
+
+    The curvature function is evaluated once per offset, on -1..r+1, and
+    each entry combines its three neighbours as psi(m+1) - 2 psi(m) +
+    psi(m-1). Scales below 1e-12 give the discrete triangle row 1, 0, 0, ...
+    """
+    out = np.zeros((sigmas.size, r + 1))
+    out[:, 0] = 1.0
+    fine = sigmas >= 1e-12
+    if fine.any():
+        s = sigmas[fine, None]
+        p = _psi_tail(np.arange(-1.0, r + 2.0) / s)
+        out[fine] = np.maximum(s * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2]), 0.0)
+    return out
+
+
 def omega(sigma: float, m):
     """Integral of a Gaussian of scale ``sigma`` over pixel m against pixel 0.
 
@@ -30,7 +50,8 @@ def omega(sigma: float, m):
     offset m: the response of a unit pixel detector to a unit pixel source
     spread by a Gaussian of standard deviation ``sigma`` (in pixel units).
     At sigma = 0 it degenerates to the discrete triangle: 1 at m = 0, else 0.
-    Non-negative, even in m, and sums to 1 over all m.
+    Non-negative, even in m, and sums to 1 over all m. The response is
+    evaluated on every offset 0..max|m| and the requested ones are picked.
     """
     if not np.isfinite(sigma) or sigma < 0:
         raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
@@ -38,16 +59,9 @@ def omega(sigma: float, m):
     if not np.issubdtype(m_arr.dtype, np.integer):
         raise ValueError("pixel offset m must be integer")
     scalar = np.isscalar(m) or np.asarray(m).ndim == 0
-    am = np.abs(m_arr).astype(np.float64)
-    if sigma < 1e-12:
-        out = np.where(am == 0, 1.0, 0.0)
-    else:
-        trip = (
-            _psi_tail((am + 1.0) / sigma)
-            - 2.0 * _psi_tail(am / sigma)
-            + _psi_tail((am - 1.0) / sigma)
-        )
-        out = np.maximum(sigma * trip, 0.0)
+    am = np.abs(m_arr.astype(np.int64))
+    row = _omega_rows(np.array([float(sigma)]), int(am.max(initial=0)))[0]
+    out = row[am]
     return float(out[0]) if scalar else out
 
 

@@ -7,11 +7,14 @@ kernels (exact pixel integration, Gauss-Legendre averaging across each bin)
 and applies the forward map and its adjoint by FFT on a zero-padded panel.
 
 Each kernel is a weighted sum of separable outer products of a profile that
-is even in the offset, so it is built as one small matmul over the quarter
-offsets 0..r and mirrored. The image transforms skip the all-zero pad rows:
-a real FFT runs along each of the M data rows to the padded width, then a
-complex FFT down the columns to the padded height; the inverse takes the
-column pass first and runs the real inverse on the M kept rows only.
+is even in both offsets, so the bank keeps only its quarter (offsets 0..r),
+built as one small matmul over the response rows of a bin's quadrature
+nodes. The FFT plan writes each cropped quarter into the four corners of the
+zero-padded panel, and the full kernels are mirrored only when asked for.
+The image transforms skip the all-zero pad rows: a real FFT runs along each
+of the M data rows to the padded width, then a complex FFT down the columns
+to the padded height; the inverse takes the column pass first and runs the
+real inverse on the M kept rows only.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
 
-from .mathcore import omega
+from .mathcore import _omega_rows
 
 
 @dataclass(frozen=True)
@@ -150,21 +153,43 @@ def kernel_radius(sigma_hi: float, psf_sigma: float) -> int:
 
 @dataclass(frozen=True)
 class KernelBank:
-    """Per-bin convolution kernels, fixed after construction."""
+    """Per-bin convolution kernels, fixed after construction.
+
+    Every kernel is even in both offsets, so only its quarter is stored:
+    ``quarters[k][i, j]`` is kernel k at offsets (+-i, +-j), 0 <= i, j <= r_k,
+    as a read-only (r_k + 1) x (r_k + 1) array.
+    """
 
     grid: SigmaGrid
     psf_sigma: float
     quad_order: int
-    kernels: tuple[np.ndarray, ...]
+    quarters: tuple[np.ndarray, ...]
     radii: tuple[int, ...]
     _plans: dict = field(default_factory=dict, repr=False, compare=False)
+
+    @property
+    def kernels(self) -> tuple[np.ndarray, ...]:
+        """The full (2r+1) x (2r+1) kernels, mirrored from the quarters.
+
+        Built afresh on each access (read-only copies, nothing cached); the
+        operator itself only reads the quarters.
+        """
+        out = []
+        for q, r in zip(self.quarters, self.radii):
+            idx = np.abs(np.arange(-r, r + 1))
+            g = q[idx][:, idx]
+            g.setflags(write=False)
+            out.append(g)
+        return tuple(out)
 
     def plan(self, shape: tuple[int, int]) -> dict:
         """Cached spectral data for images of the given shape.
 
         A 'same' convolution on an M x N image never reaches kernel offsets
         beyond M-1 rows or N-1 columns, so each kernel is cropped to that
-        reach before its spectrum is taken; the result is unchanged.
+        reach before its spectrum is taken; the result is unchanged. The
+        cropped kernel goes into the pad panel with offset (i, j) at
+        (i mod pm, j mod pn): its quarter fills the four corners.
         """
         key = (int(shape[0]), int(shape[1]))
         hit = self._plans.get(key)
@@ -179,13 +204,16 @@ class KernelBank:
         pm = next_fast_len(m + rm)
         pn = next_fast_len(n + rn)
         ghat = np.empty(
-            (len(self.kernels), pm, pn // 2 + 1), dtype=np.complex128
+            (len(self.quarters), pm, pn // 2 + 1), dtype=np.complex128
         )
-        for k, (g, r) in enumerate(zip(self.kernels, self.radii)):
+        buf = np.zeros((pm, pn))
+        for k, (q, r) in enumerate(zip(self.quarters, self.radii)):
             km, kn = min(r, m - 1), min(r, n - 1)
-            buf = np.zeros((pm, pn))
-            buf[: 2 * km + 1, : 2 * kn + 1] = g[r - km : r + km + 1, r - kn : r + kn + 1]
-            buf = np.roll(buf, (-km, -kn), axis=(0, 1))
+            buf.fill(0.0)
+            buf[: km + 1, : kn + 1] = q[: km + 1, : kn + 1]
+            buf[pm - km :, : kn + 1] = q[km:0:-1, : kn + 1]
+            buf[: km + 1, pn - kn :] = q[: km + 1, kn:0:-1]
+            buf[pm - km :, pn - kn :] = q[km:0:-1, kn:0:-1]
             ghat[k] = rfft2(buf)
         plan = {"pad": (pm, pn), "ghat": ghat}
         self._plans[key] = plan
@@ -199,18 +227,19 @@ def build_kernel_bank(
 
     Kernel k is (1/sqrt(width_k)) * integral over the bin of the separable
     pixel response at scale sigma + psf_sigma, evaluated by Gauss-Legendre
-    quadrature. The response is even in the offset, so the quadrature sum
-    of outer products is formed once on the quarter offsets 0..r as
-    rows.T @ diag(weights) @ rows (rank quad_order) and mirrored to the full
-    (2r+1) x (2r+1) kernel. Each kernel is exactly symmetric under axis swap
-    and flips, and its total mass is sqrt(width_k) up to tail truncation.
+    quadrature. The response is even in the offset, so only the quarter
+    offsets 0..r are formed: the response rows of all quadrature nodes of a
+    bin come from one call, and the quadrature sum of outer products is
+    rows.T @ diag(weights) @ rows (rank quad_order), made exactly symmetric
+    under axis swap, then scaled by 1/sqrt(width_k) and clipped at 0. The
+    mirrored kernel's total mass is sqrt(width_k) up to tail truncation.
     """
     if not (np.isfinite(psf_sigma) and psf_sigma >= 0):
         raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
     if quad_order < 1:
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
     nodes, wts = np.polynomial.legendre.leggauss(int(quad_order))
-    kernels = []
+    quarters = []
     radii = []
     b = grid.boundaries
     for k in range(grid.n_bins):
@@ -218,24 +247,20 @@ def build_kernel_bank(
         r = kernel_radius(hi, psf_sigma)
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        offsets = np.arange(r + 1)
-        rows = np.stack(
-            [omega(float(mid + half * x) + psf_sigma, offsets) for x in nodes]
-        )
+        rows = _omega_rows(mid + half * nodes + psf_sigma, r)
         q = (rows.T * (wts * half)) @ rows
         # the matmul need not round q[i, j] and q[j, i] alike
         q = np.triu(q) + np.triu(q, 1).T
-        idx = np.abs(np.arange(-r, r + 1))
-        g = q[idx][:, idx] / np.sqrt(hi - lo)
-        np.maximum(g, 0.0, out=g)
-        g.setflags(write=False)
-        kernels.append(g)
+        q /= np.sqrt(hi - lo)
+        np.maximum(q, 0.0, out=q)
+        q.setflags(write=False)
+        quarters.append(q)
         radii.append(r)
     return KernelBank(
         grid=grid,
         psf_sigma=float(psf_sigma),
         quad_order=int(quad_order),
-        kernels=tuple(kernels),
+        quarters=tuple(quarters),
         radii=tuple(radii),
     )
 

@@ -202,13 +202,15 @@ def fista_solve(
     kbins = bank.grid.n_bins
     support = bank.grid.support_mask
     if init is None:
-        x = np.zeros((m, n, kbins))
+        # the operator is linear: a cold start needs no forward call
+        x, fwd_x = np.zeros((m, n, kbins)), np.zeros((m, n))
     else:
         x = np.array(init, dtype=np.float64)
         if x.shape != (m, n, kbins):
             raise ValueError(f"init shape {x.shape} != {(m, n, kbins)}")
         if not np.isfinite(x).all() or (x < 0).any():
             raise ValueError("init must be finite and non-negative")
+        fwd_x = forward(x, bank)
     if op_norm is None:
         op_norm = op_norm_estimate(obs, bank, cfg.power_iters)
     if not (np.isfinite(op_norm) and op_norm >= 0):
@@ -251,7 +253,6 @@ def fista_solve(
         fwd_z = forward(z, bank)
         return (z, fwd_z, *_objective(z, fwd_z, obs, support, cfg.lam))
 
-    fwd_x = forward(x, bank)
     total_x = _objective(x, fwd_x, obs, support, cfg.lam)[0]
     y, fwd_y = x, fwd_x
     t_mom = 1.0

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfcx
 
-from invdiff.mathcore import _poisson_pmf_row, conv_powers, omega
+from invdiff.mathcore import _poisson_pmf_row, _psi_tail, conv_powers, omega
 
 
 class TestErfcx:
@@ -78,6 +78,27 @@ class TestOmega:
         # as sigma -> 0 the pixel-pair overlap tends to max(0, 1 - |m|)
         vals = omega(1e-9, np.arange(-2, 3))
         np.testing.assert_allclose(vals, [0, 0, 1, 0, 0], atol=1e-9)
+
+    @staticmethod
+    def _three_psi(sigma, m):
+        # the response formed offset by offset from three psi evaluations
+        am = np.abs(m).astype(np.float64)
+        if sigma < 1e-12:
+            return np.where(am == 0, 1.0, 0.0)
+        trip = (
+            _psi_tail((am + 1.0) / sigma)
+            - 2.0 * _psi_tail(am / sigma)
+            + _psi_tail((am - 1.0) / sigma)
+        )
+        return np.maximum(sigma * trip, 0.0)
+
+    def test_bit_equal_to_three_psi_formula(self):
+        ms = np.array([-40, 7, 0, -1, 3, 250, -3, 12, 1])
+        for sigma in (1e-13, 1e-9, 0.3, 2.0, 70.0):
+            np.testing.assert_array_equal(omega(sigma, ms), self._three_psi(sigma, ms))
+            assert omega(sigma, -5) == self._three_psi(sigma, np.array([-5]))[0]
+        # |-128| does not fit in int8; the offset still reads as 128
+        assert omega(2.0, np.int8(-128)) == omega(2.0, 128)
 
     def test_rejects_bad_input(self):
         with pytest.raises(ValueError):

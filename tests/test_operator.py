@@ -6,8 +6,11 @@ identity to near machine precision, and both maps agree with a per-bin
 spatial convolution by the full, uncropped kernels.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.fft import rfft2
 from scipy.signal import convolve2d
 
 from invdiff import (
@@ -157,6 +160,55 @@ class TestKernelBank:
         want = _outer_product_kernels(grid, cfg.psf_sigma, cfg.quad_order)
         for got, ref in zip(b.kernels, want):
             assert _rel_err(got, ref) <= 1e-14
+
+    def test_sub_threshold_node_matches_outer_product_oracle(self):
+        # bin 1 spans (0, 1e-11): its lowest Gauss-Legendre nodes fall below
+        # 1e-12 and take the triangle row, the others the psi formula
+        grid = SigmaGrid(boundaries=(0.0, 1e-11, 2.0), support_set=(1, 2))
+        nodes = np.polynomial.legendre.leggauss(16)[0]
+        assert (5e-12 + 5e-12 * nodes < 1e-12).any()
+        b = build_kernel_bank(grid)
+        for got, want in zip(b.kernels, _outer_product_kernels(grid, 0.0)):
+            assert got.shape == want.shape
+            assert _rel_err(got, want) <= 1e-14
+
+    def test_plan_matches_crop_and_roll_of_full_kernels(self):
+        # reference: crop each full kernel to the image's reach, place it at
+        # the panel's corner and roll its centre to (0, 0)
+        for psf_sigma in (0.0, 1.5):
+            b = build_kernel_bank(ORACLE_GRID, psf_sigma)
+            for q, r in zip(b.quarters, b.radii):
+                assert q.shape == (r + 1, r + 1)
+                assert not q.flags.writeable
+            kernels = b.kernels
+            for shape in ORACLE_SHAPES:
+                plan = b.plan(shape)
+                pm, pn = plan["pad"]
+                for k, (g, r) in enumerate(zip(kernels, b.radii)):
+                    km, kn = min(r, shape[0] - 1), min(r, shape[1] - 1)
+                    buf = np.zeros((pm, pn))
+                    buf[: 2 * km + 1, : 2 * kn + 1] = g[
+                        r - km : r + km + 1, r - kn : r + kn + 1
+                    ]
+                    want = rfft2(np.roll(buf, (-km, -kn), axis=(0, 1)))
+                    np.testing.assert_array_equal(plan["ghat"][k], want)
+
+    def test_default_bank_memory(self):
+        # the quarters of the default grid hold about 3.1 MB; the full
+        # (2r+1)^2 kernels would hold 12.4 MB, and with crop copies in the
+        # plan the traced peak would reach 19.6 MB
+        cfg = default_config()
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            b = build_kernel_bank(cfg.sigma_grid(), cfg.psf_sigma, cfg.quad_order)
+            held = tracemalloc.get_traced_memory()[0] - base
+            b.plan((128, 128))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert held <= 4e6
+        assert peak <= 10e6
 
     def test_quadrature_converged(self):
         b16 = build_kernel_bank(GRID, psf_sigma=0.0, quad_order=16)

@@ -329,6 +329,32 @@ class TestFistaSolve:
         np.testing.assert_array_equal(sol1.data, sol2.data)
         np.testing.assert_array_equal(tr1.costs, tr2.costs)
 
+    def test_cold_solve_calls_forward_once_per_prox_step(self, bank, monkeypatch):
+        # a cold start takes forward(0) = 0 without calling forward; a warm
+        # start from zeros calls it once more and reaches the same iterates
+        import invdiff.solver
+
+        calls = []
+
+        def counted(a, b):
+            calls.append(1)
+            return forward(a, b)
+
+        monkeypatch.setattr(invdiff.solver, "forward", counted)
+        _, obs = _instance(bank, seed=12, noise=0.05)
+        op_norm = op_norm_estimate(obs, bank, 20)
+        cfg = SolverConfig(lam=0.3, max_iters=60, gap_tol=0.0)
+        sol, trace = fista_solve(obs, bank, cfg, op_norm=op_norm)
+        assert trace.restarts.any()
+        assert len(calls) == trace.iterations + int(trace.restarts.sum())
+        calls.clear()
+        warm, warm_trace = fista_solve(
+            obs, bank, cfg, init=np.zeros(sol.data.shape), op_norm=op_norm
+        )
+        assert len(calls) == trace.iterations + int(trace.restarts.sum()) + 1
+        np.testing.assert_array_equal(warm.data, sol.data)
+        np.testing.assert_array_equal(warm_trace.costs, trace.costs)
+
     def test_divergence_raises_with_trace(self, bank):
         _, obs = _instance(bank, seed=13)
         cfg = SolverConfig(lam=0.1, max_iters=400, gap_tol=0.0)
