@@ -48,6 +48,7 @@ from .solver import (
     cost,
     fista_solve,
     group_norm_sum,
+    lambda_max,
     prox_group_nonneg,
 )
 from .tensorio import (
@@ -96,6 +97,7 @@ __all__ = [
     "cost",
     "fista_solve",
     "group_norm_sum",
+    "lambda_max",
     "prox_group_nonneg",
     "read_pgm16",
     "read_positions_csv",

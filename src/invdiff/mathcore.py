@@ -1,11 +1,12 @@
-"""Pixel response, Poisson helpers and convolution powers of a density.
+"""Pixel response, a weighted Poisson pmf sum and convolution powers of a density.
 
 Everything in this module is a pure function of its arguments. The pixel
 response is the numeric bedrock of kernel construction, with one
 implementation: ``_omega_rows`` gives it at offsets 0..r for many scales at
 once (the kernel bank takes one row per quadrature scale), and ``omega``
-picks single offsets from such a row. The Poisson pmf rows and
-``conv_powers`` serve the rebinding-series tabulation in
+picks single offsets from such a row. The weighted Poisson pmf sum
+``_poisson_pmf_sum`` and ``conv_powers`` serve the rebinding-series
+tabulation and the emission-window synthesis in
 :mod:`invdiff.physics`, which takes the scaled complementary error function
 straight from ``scipy.special.erfcx``. ``conv_powers`` returns all powers as
 one array and takes one path at every table size: real FFTs padded to cover
@@ -13,6 +14,8 @@ the linear convolution, so no sample wraps.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 from scipy import special as sp
@@ -65,15 +68,77 @@ def omega(sigma: float, m):
     return float(out[0]) if scalar else out
 
 
-def _poisson_pmf_row(j_count: int, lam) -> np.ndarray:
-    """pmf values for j = 0..j_count-1 at rates ``lam`` (vectorized, log space
-    from one logarithm per rate; exact at lam = 0, where the j = 0 term
-    j * log(lam) is taken as 0 and the others as -inf)."""
-    lam = np.atleast_1d(np.asarray(lam, dtype=np.float64))[None, :]
-    j = np.arange(j_count, dtype=np.float64)[:, None]
-    log_lam = np.log(lam, out=np.full_like(lam, -np.inf), where=lam > 0)
-    j_log = np.multiply(j, log_lam, out=np.zeros((j_count, lam.shape[1])), where=j > 0)
-    return np.exp(j_log - lam - sp.gammaln(j + 1.0))
+# every _PMF_RESEED-th order, _poisson_pmf_sum re-seeds the cells whose
+# pmf is still rising
+_PMF_RESEED = 8
+# Stirling series coefficients B_2n / (2n (2n - 1)), n = 1..9
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+    -691 / 360360, 1 / 156, -3617 / 122400, 43867 / 244188,
+)
+
+
+def _stirling_error(k: int) -> float:
+    """lgamma(k + 1) - (k + 1/2) log k + k - log(2 pi) / 2 for k >= 8, from
+    the Stirling series; the first omitted term is below 1e-17 there."""
+    inv = 1.0 / k
+    return inv * sum(c * inv ** (2 * n) for n, c in enumerate(_STIRLING))
+
+
+def _poisson_pmf_saddle(k: int, x: np.ndarray) -> np.ndarray:
+    """Poisson pmf(k, x) for k >= 8 and x > 0 in Loader's saddle-point form
+    exp(-stirling_error(k) - bd0) / sqrt(2 pi k), where
+    bd0 = k log(k / x) + x - k. Near the mode, |k - x| < (k + x) / 10, bd0
+    is summed as a series in v = (k - x) / (k + x), so the exponent is
+    small and exact to a few ulps there, where the naive
+    k log x - x - lgamma(k + 1) loses about x * eps.
+    """
+    d = k - x
+    bd0 = k * np.log(k / x) - d
+    near = np.abs(d) < 0.1 * (k + x)
+    if near.any():
+        v = d[near] / (k + x[near])
+        series = d[near] * v
+        term = 2.0 * k * v
+        v2 = v * v
+        for j in range(1, 9):
+            term *= v2
+            series += term / (2 * j + 1)
+        bd0[near] = series
+    return np.exp(-_stirling_error(k) - bd0) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_pmf_sum(weights, x, k_lo: int = 0) -> np.ndarray:
+    """Weighted sum over orders of Poisson pmf values at means ``x``:
+    the sum over i of weights[i] * pmf(k_lo + i, x), broadcast against x.
+
+    The orders come from pmf(0, x) = exp(-x), one ``exp`` per cell, by the
+    recurrence pmf(k, x) = pmf(k - 1, x) * x / k: two roundings per order,
+    and no table of all orders. exp(-x) underflows for x > 745, where the
+    orders near x carry the mass, so at every order k that is a multiple of
+    ``_PMF_RESEED`` the cells with x > k, whose pmf still rises with k, are
+    seeded afresh from ``_poisson_pmf_saddle``, exact to a few ulps near the
+    mode. Before the first such order a cell with x > 708 keeps at most
+    x**7 times the smallest normal float, under 1e-279 for x < 1e4.
+    At x = 0 the k = 0 pmf is exactly 1 and every other order exactly 0.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not len(weights):
+        return np.zeros(np.broadcast_shapes(np.shape(weights)[1:], x.shape))
+    pmf = np.exp(-x)
+    for k in range(1, k_lo + 1):
+        pmf *= x
+        pmf /= k
+    total = weights[0] * pmf
+    for k, w in enumerate(weights[1:], start=k_lo + 1):
+        pmf *= x
+        pmf /= k
+        if k % _PMF_RESEED == 0:
+            rising = x > k
+            if rising.any():
+                pmf[rising] = _poisson_pmf_saddle(k, x[rising])
+        total += w * pmf
+    return total
 
 
 def conv_powers(values: np.ndarray, step: float, j_max: int) -> np.ndarray:

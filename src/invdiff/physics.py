@@ -10,6 +10,13 @@ point emitters, and models the camera.
 Scales and times are linked by sigma = sqrt(2 * diffusion * free_time): a
 particle whose accumulated free-motion time is tau contributes a Gaussian
 blob of that width to the bound-particle image.
+
+Synthesis integrates each emitter's Poisson mixture of capture/escape rounds
+over its emission window. The first generation of every emitter comes from
+one Gauss-Legendre broadcast per distinct panel count. The later
+generations come from cumulative generation densities, formed once per
+call, so that each window end costs one Poisson pmf recurrence per
+tabulation cell instead of one incomplete-gamma row per generation.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.special as sp
 
-from .mathcore import _poisson_pmf_row, conv_powers
+from .mathcore import _poisson_pmf_sum, conv_powers
 from .operator import PsdrTensor, SigmaGrid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -228,11 +235,30 @@ class PhiTable:
 def _gl_panels(lo, hi, n_pan):
     """Nodes and weights of ``n_pan`` equal Gauss-Legendre panels on [lo, hi],
     one row per panel. Array ends of one shape lead the result's shape; a
-    zero-width interval gets all-zero weights."""
-    edges = np.linspace(lo, hi, n_pan + 1, axis=-1)
+    zero-width interval gets all-zero weights. The edges are
+    lo + (i / n_pan) * (hi - lo), the last set to hi: numpy's linspace takes
+    that form for a whole array once any of its intervals has zero width,
+    as almost every emission window's band parts do, and another form
+    otherwise, so one interval's nodes would depend on the others."""
+    lo = np.asarray(lo, dtype=np.float64)[..., None]
+    hi = np.asarray(hi, dtype=np.float64)[..., None]
+    edges = lo + (np.arange(n_pan + 1) / n_pan) * (hi - lo)
+    edges[..., -1:] = hi
     half = 0.5 * (edges[..., 1:] - edges[..., :-1])
     mid = 0.5 * (edges[..., 1:] + edges[..., :-1])
     return mid[..., None] + half[..., None] * _GL_NODES, half[..., None] * _GL_WEIGHTS
+
+
+# most Gauss-Legendre panels per first-generation interval, and per
+# emitter-panel product in one batched broadcast
+_MAX_PANELS = 512
+
+
+def _panel_count(kd, u_lo, u_hi) -> np.ndarray:
+    """Panels that resolve exp(-kd * ...) variation on each interval
+    [u_lo**2, u_hi**2] of the u = sqrt(tau) quadrature: at least 4, at most
+    ``_MAX_PANELS``."""
+    return np.clip(np.ceil(kd * u_hi * (u_hi - u_lo) / 2.0), 4, _MAX_PANELS)
 
 
 def _first_generation_integral(params, tau_lo, tau_hi, factor_fn) -> np.ndarray:
@@ -242,7 +268,7 @@ def _first_generation_integral(params, tau_lo, tau_hi, factor_fn) -> np.ndarray:
     integral per interval, in one broadcast. Uses the substitution
     u = sqrt(tau), under which the integrand is bounded and smooth, with
     composite Gauss-Legendre panels. All intervals share the largest panel
-    count any of them needs (at least 4) to resolve exp(-kappa_d * ...)
+    count any of them needs (``_panel_count``) to resolve exp(-kappa_d * ...)
     variation in the factor, which may break its derivative only at an end.
     """
     ka, dif, kd = params.kappa_a, params.diffusion, params.kappa_d
@@ -250,7 +276,7 @@ def _first_generation_integral(params, tau_lo, tau_hi, factor_fn) -> np.ndarray:
     b_coef = ka * ka / dif
     u_lo = np.sqrt(np.asarray(tau_lo, dtype=np.float64))
     u_hi = np.sqrt(np.asarray(tau_hi, dtype=np.float64))
-    n_pan = int(np.clip(np.ceil(kd * u_hi * (u_hi - u_lo) / 2.0), 4, 512).max())
+    n_pan = int(_panel_count(kd, u_lo, u_hi).max())
     u, w = _gl_panels(u_lo, u_hi, n_pan)
     dens = 2.0 * a_coef - 2.0 * b_coef * u * sp.erfcx(ka * u / np.sqrt(dif))
     vals = w * np.maximum(dens, 0.0) * factor_fn(u * u)
@@ -286,9 +312,7 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     for j in range(2, n_gen + 1):
         grid = step / 2.0 * j + step * np.arange(tau_steps)
         powers[j - 1] = np.interp(tau, grid, powers[j - 1])
-    lam = params.kappa_d * (horizon - tau)
-    pois = _poisson_pmf_row(n_gen, lam)
-    values = np.einsum("jn,jn->n", powers, pois)
+    values = _poisson_pmf_sum(powers, params.kappa_d * (horizon - tau))
     return PhiTable(
         params=params, j_max=j_eps, tau_grid=tau, values=values, powers=powers,
     )
@@ -315,28 +339,45 @@ def _cell_averaged_density(params, tau_steps, step, base_vals):
     return vals
 
 
-def _gammainc_rows(j_max: int, x: np.ndarray) -> np.ndarray:
-    """Regularized lower incomplete gamma P(j, x) = gammainc(j, x) for
-    j = 2..j_max, one row per order (no rows when j_max < 2).
+def _rest_tables(phi: PhiTable):
+    """Per-cell tables of the rest profile, formed once per ``synth_psdr``.
 
-    P(j, x) is the probability that a Poisson count of mean x reaches j, so
-    P(j, x) = P(j + 1, x) + pmf(j, x). Only the top row P(j_max, x) is
-    evaluated by ``gammainc``; the lower rows add the Poisson pmf rows
-    (``_poisson_pmf_row``), summed from j_max down to 2. Every addition is
-    of non-negative terms, so each row keeps the relative accuracy of its
-    terms, and x = 0 gives exactly 0.
+    With f_j = powers[j - 1] the j-generation density (j = 2..J):
+    ``lower`` holds F_k = f_2 + ... + f_k for k = 2..J, one row each;
+    ``upper`` holds G_k = the sum of f_j over j >= max(2, k + 1) for
+    k = 0..J-1; ``switch`` is, per cell, the smallest k with F_k >= F_J / 2,
+    made non-decreasing along the cells. The lower sum S(x) of
+    ``_rest_sum`` passes about half of F_J near x = switch.
     """
-    js = np.arange(2, j_max + 1, dtype=np.float64)[:, None]
-    rows = np.empty((js.size, x.size))
-    rows[:-1] = _poisson_pmf_row(j_max, x)[2:]
-    rows[-1:] = sp.gammainc(js[-1:], x)
-    for i in range(js.size - 2, -1, -1):
-        rows[i] += rows[i + 1]
-    return rows
+    gens = phi.powers[1:]
+    lower = np.cumsum(gens, axis=0)
+    tails = np.cumsum(gens[::-1], axis=0)[::-1]
+    upper = np.concatenate((tails[:1], tails))
+    half = np.count_nonzero(lower < 0.5 * lower[-1], axis=0)
+    return lower, upper, np.maximum.accumulate(half + 2.0)
+
+
+def _rest_sum(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """S(x) = sum over j = 2..J of f_j * P(j, x) on the cells of ``x``.
+
+    P(j, x) = gammainc(j, x) is the probability that a Poisson count of
+    mean x reaches j, and ``lower`` holds the cumulative densities
+    F_k = f_2 + ... + f_k for k = 2..J (``_rest_tables``). Since
+    P(j, x) = P(J, x) plus pmf(k, x) summed over k = j..J-1, swapping the
+    two sums gives S(x) = P(J, x) * F_J plus pmf(k, x) * F_k summed over
+    k = 2..J-1: one ``gammainc`` and one pmf recurrence
+    (``_poisson_pmf_sum``) per cell. Every term is non-negative, so S keeps
+    the relative accuracy of its terms, and S(0) = 0 exactly. With no rows
+    (J = 1) the sum is empty and S = 0.
+    """
+    total = _poisson_pmf_sum(lower[:-1], x, k_lo=2)
+    if len(lower):
+        total += sp.gammainc(len(lower) + 1, x) * lower[-1]
+    return total
 
 
 def _window_rest_profile(
-    phi: PhiTable, t_start: float, t_stop: float, n_cells: int
+    phi: PhiTable, tables, t_start: float, t_stop: float, n_cells: int
 ) -> np.ndarray:
     """Emission-window integral of the generation-2+ density terms on the
     first ``n_cells`` tabulation cells.
@@ -346,50 +387,80 @@ def _window_rest_profile(
     j rounds (j >= 2) by the horizon, weighted by the j-generation delay
     density, over the emission window. The escape-count factor integrates
     in closed form to a difference of regularized incomplete gamma
-    functions at the two window ends; each end takes one ``gammainc`` row
-    and a downward pmf tail sum (``_gammainc_rows``). The caller passes
-    the number of leading cells that can carry weight; the others are not
-    evaluated. A single-generation table (always the case at
-    kappa_d == 0) has an empty j range, and the profile is zero.
+    functions at the window ends x_hi = kappa_d * (H - t_start - tau) and
+    x_lo = kappa_d * (H - t_stop - tau), so the profile is
+    (S(x_hi) - S(x_lo)) / kappa_d, clipped at 0, with S from ``_rest_sum``.
+    Where x_lo reaches the cell's ``switch`` (``_rest_tables``), S is close
+    to F_J at both ends and their difference would cancel; there the
+    profile is the equal (T(x_lo) - T(x_hi)) / kappa_d of the upper sums
+    T(x) = F_J - S(x), the sum over k = 0..J-1 of pmf(k, x) * G_k, which are
+    small. Those cells are a leading run, as are the cells with x_lo > 0;
+    past them S(x_lo) = 0 and is not evaluated, and the cells past
+    ``n_cells``, which the caller found to carry no weight, are not either.
+    A single-generation table has no rest profile.
     """
+    lower, upper, switch = tables
     p = phi.params
+    kd = p.kappa_d
     tau = phi.tau_grid[:n_cells]
-    x_hi = np.maximum(p.kappa_d * ((p.horizon - t_start) - tau), 0.0)
-    x_lo = np.maximum(p.kappa_d * ((p.horizon - t_stop) - tau), 0.0)
-    x_lo = np.minimum(x_lo, x_hi)
-    j_max = phi.n_generations
-    win = (_gammainc_rows(j_max, x_hi) - _gammainc_rows(j_max, x_lo)) / p.kappa_d
-    return np.einsum("jn,jn->n", phi.powers[1:, :n_cells], np.maximum(win, 0.0))
+    x_hi = np.maximum(kd * ((p.horizon - t_start) - tau), 0.0)
+    x_lo = kd * ((p.horizon - t_stop) - tau)
+    n_up = int(np.count_nonzero(x_lo >= switch[:n_cells]))
+    n_lo = int(np.count_nonzero(x_lo > 0.0))
+    win = np.empty(n_cells)
+    if n_up:
+        up = upper[:, :n_up]
+        win[:n_up] = _poisson_pmf_sum(up, x_lo[:n_up]) - _poisson_pmf_sum(up, x_hi[:n_up])
+    win[n_up:] = _rest_sum(lower[:, n_up:n_cells], x_hi[n_up:])
+    if n_lo > n_up:
+        win[n_up:n_lo] -= _rest_sum(lower[:, n_up:n_lo], x_lo[n_up:n_lo])
+    win /= kd
+    return np.maximum(win, 0.0, out=win)
 
 
 def _first_generation_window(phi: PhiTable, tau_bounds, t_start, t_stop) -> np.ndarray:
     """Emission-window integrals of the first-generation density term, one
     per free-motion-time band [tau_bounds[k], tau_bounds[k + 1]].
 
+    ``t_start`` and ``t_stop`` are scalars, or 1-D arrays with one window
+    per emitter; the result has one row of K band integrals per emitter.
     A particle emitted at t has free time tau <= H - t, so the window
     factor of tau is the integral of exp(-kappa_d * (H - t - tau)) over the
     emission times in [t_start, min(t_stop, H - tau)]. Its derivative
     breaks only at the kink tau = H - t_stop. Each band is clipped to
     [0, H - t_start] and split at the kink into a lower and an upper part,
-    either of which may be empty; the 2 x K parts are one quadrature
-    broadcast, summed over the two parts of each band.
+    either of which may be empty. Every emitter keeps the panel count its
+    own 2 x K parts need; the emitters that share a count are integrated in
+    one quadrature broadcast, in groups of at most ``_MAX_PANELS`` emitter
+    panels, which bounds the memory a strong escape rate takes.
     """
     p = phi.params
     kd = p.kappa_d
-    hi = max(p.horizon - t_start, 0.0)
-    lo_break = p.horizon - t_stop
+    hi = np.maximum(p.horizon - np.asarray(t_start, dtype=np.float64), 0.0)
+    kink = p.horizon - np.asarray(t_stop, dtype=np.float64)
+    shape = hi.shape
+    hi, kink = hi.reshape(-1, 1, 1), kink.reshape(-1, 1, 1)
     ends = np.clip(tau_bounds, 0.0, hi)
-    split = np.clip(lo_break, ends[:-1], ends[1:])
+    split = np.clip(kink, ends[..., :-1], ends[..., 1:])
+    tau_lo = np.concatenate((ends[..., :-1], split), axis=1)
+    tau_hi = np.concatenate((split, ends[..., 1:]), axis=1)
+    counts = _panel_count(kd, np.sqrt(tau_lo), np.sqrt(tau_hi)).max(axis=(1, 2))
+    out = np.empty((counts.size, tau_lo.shape[-1]))
+    for n_pan in np.unique(counts):
+        rows = np.flatnonzero(counts == n_pan)
+        group = _MAX_PANELS // int(n_pan)
+        for sel in (rows[i:i + group] for i in range(0, rows.size, group)):
+            hi_sel = hi[sel, :, :, None, None]
+            kink_sel = kink[sel, :, :, None, None]
 
-    def factor(tau):
-        span = np.maximum(hi - np.maximum(tau, lo_break), 0.0)
-        r_lo = np.maximum(lo_break - tau, 0.0)
-        return np.exp(-kd * r_lo) * span * sp.exprel(-kd * span)
+            def factor(tau):
+                span = np.maximum(hi_sel - np.maximum(tau, kink_sel), 0.0)
+                r_lo = np.maximum(kink_sel - tau, 0.0)
+                return np.exp(-kd * r_lo) * span * sp.exprel(-kd * span)
 
-    parts = _first_generation_integral(
-        p, np.stack((ends[:-1], split)), np.stack((split, ends[1:])), factor
-    )
-    return parts.sum(axis=0)
+            parts = _first_generation_integral(p, tau_lo[sel], tau_hi[sel], factor)
+            out[sel] = parts.sum(axis=1)
+    return out.reshape(shape + out.shape[-1:])
 
 
 def synth_psdr(
@@ -403,17 +474,21 @@ def synth_psdr(
     Each emitter deposits, into the scale bins at its own pixel, the
     expected number of its particles that are bound at the horizon after
     accumulating a free-motion time inside each bin's band, normalized per
-    unit scale (division by sqrt of the bin width). One pass per emitter
-    fills every bin: the first generation from one quadrature broadcast
-    over each band's two parts either side of the window kink, the later
-    generations as one product of the band-by-cell overlap matrix with the
-    emitter's rest profile. The rest profile is evaluated only on the cells
-    whose left edge lies below min(tau_K, H - t_start): cells above the top
-    band edge tau_K have zero overlap, and cells past H - t_start hold no
-    free time this emitter's particles can reach. Its incomplete-gamma
-    window factors take one ``gammainc`` row per window end and sum the
-    lower orders as Poisson pmf tails. Contributions are additive across
-    emitters and linear in emission rate.
+    unit scale (division by sqrt of the bin width). The first generation of
+    every emitter comes from one quadrature broadcast per distinct panel
+    count (``_first_generation_window``), over each band's two parts either
+    side of the emitter's window kink. The later generations are one
+    product per emitter of the band-by-cell overlap matrix with the
+    emitter's rest profile, taken on the cells whose left edge lies below
+    min(tau_K, H - t_start): cells above the top band edge tau_K have zero
+    overlap, and cells past H - t_start hold no free time this emitter's
+    particles can reach. The rest profile's sum over generations is
+    swapped with its sum over escape counts, through cumulative generation
+    densities formed once per call (``_rest_tables``): each window end costs
+    one pmf recurrence per cell, plus one ``gammainc`` where the lower sums
+    are taken, and the lower end is evaluated only on the cells below
+    H - t_stop. Contributions are additive across emitters and linear in
+    emission rate.
     """
     m_rows, n_cols = int(shape[0]), int(shape[1])
     if m_rows < 1 or n_cols < 1:
@@ -424,15 +499,6 @@ def synth_psdr(
             f"grid top scale {grid.sigma_max:g} px exceeds the physical maximum "
             f"{p.sigma_max_px:g} px for these parameters"
         )
-    tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
-    edges = np.arange(phi.tau_grid.size + 1) * phi.step
-    # overlap[k, i]: length of tabulation cell i inside band k
-    t_lo, t_hi = tau_bounds[:-1, None], tau_bounds[1:, None]
-    overlap = np.clip(
-        np.minimum(edges[1:], t_hi) - np.maximum(edges[:-1], t_lo), 0.0, None
-    )
-    sqrt_w = np.sqrt(grid.widths)
-    out = np.zeros((m_rows, n_cols, grid.n_bins))
     for src in sources:
         if not (0 <= src.m < m_rows and 0 <= src.n < n_cols):
             raise ValueError(f"source ({src.m}, {src.n}) outside {m_rows} x {n_cols} image")
@@ -440,13 +506,27 @@ def synth_psdr(
             raise ValueError(
                 f"emission window end {src.t_stop} exceeds horizon {p.horizon}"
             )
-        if src.rate == 0.0 or src.t_stop == src.t_start:
-            continue
-        first = _first_generation_window(phi, tau_bounds, src.t_start, src.t_stop)
-        lim = min(tau_bounds[-1], p.horizon - src.t_start)
-        n_cells = int(np.searchsorted(edges[:-1], lim))
-        rest = _window_rest_profile(phi, src.t_start, src.t_stop, n_cells)
-        out[int(src.m), int(src.n)] += src.rate * (first + overlap[:, :n_cells] @ rest) / sqrt_w
+    active = [s for s in sources if s.rate != 0.0 and s.t_stop != s.t_start]
+    tau_bounds = np.asarray(p.tau_of_sigma_px(grid.boundaries))
+    first = _first_generation_window(
+        phi, tau_bounds, [s.t_start for s in active], [s.t_stop for s in active]
+    )
+    edges = np.arange(phi.tau_grid.size + 1) * phi.step
+    # overlap[k, i]: length of tabulation cell i inside band k
+    t_lo, t_hi = tau_bounds[:-1, None], tau_bounds[1:, None]
+    overlap = np.clip(
+        np.minimum(edges[1:], t_hi) - np.maximum(edges[:-1], t_lo), 0.0, None
+    )
+    tables = _rest_tables(phi) if phi.n_generations > 1 else None
+    sqrt_w = np.sqrt(grid.widths)
+    out = np.zeros((m_rows, n_cols, grid.n_bins))
+    for src, bands in zip(active, first):
+        if tables is not None:
+            lim = min(tau_bounds[-1], p.horizon - src.t_start)
+            n_cells = int(np.searchsorted(edges[:-1], lim))
+            rest = _window_rest_profile(phi, tables, src.t_start, src.t_stop, n_cells)
+            bands = bands + overlap[:, :n_cells] @ rest
+        out[int(src.m), int(src.n)] += src.rate * bands / sqrt_w
     return PsdrTensor(out)
 
 

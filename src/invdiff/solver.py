@@ -161,6 +161,26 @@ def prox_group_nonneg(v: np.ndarray, threshold: float, support_mask: np.ndarray)
     return out.reshape(arr.shape)
 
 
+def _max_pixel_norm(a: np.ndarray) -> float:
+    """Largest Euclidean norm over the pixels of an M x N x K tensor."""
+    return float(np.sqrt(np.einsum("mnk,mnk->mn", a, a).max()))
+
+
+def lambda_max(obs: Observation, bank: KernelBank) -> float:
+    """Smallest regularization weight for which zero is a fixed point.
+
+    Returns the largest pixel norm, over the supported bins, of the positive
+    part of 2 * adjoint(obs.data). The data gradient at zero is
+    -2 * adjoint(obs.data), so this is the scale of the worst pixel that
+    ``fista_solve``'s dual point has at zero. For lambda >= lambda_max a
+    proximal step from zero leaves every supported bin at zero; unpenalized
+    bins stay at zero only where their part of adjoint(obs.data) is not
+    positive. A regularization weight is usually chosen as a fraction of it.
+    """
+    g = 2.0 * adjoint(obs.data, obs, bank)[:, :, bank.grid.support_mask]
+    return _max_pixel_norm(np.maximum(g, 0.0, out=g))
+
+
 def _check_solvable(obs: Observation, bank: KernelBank, cfg: SolverConfig) -> None:
     zero_weight = not (obs.weights > 0).all()
     partial_support = not bank.grid.support_mask.all()
@@ -236,7 +256,7 @@ def fista_solve(
             return 0.0
         # neg is zero on the unpenalized bins, so its pixel norms are the
         # supported ones
-        worst = float(np.sqrt(np.einsum("mnk,mnk->mn", neg, neg).max()))
+        worst = _max_pixel_norm(neg)
         s = cfg.lam / worst if worst > cfg.lam else 1.0
         w_resid = obs.weights * resid
         cross = float(np.vdot(w_resid, weighted_data))

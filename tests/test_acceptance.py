@@ -24,6 +24,7 @@ from invdiff import (
     find_sources,
     fista_solve,
     forward,
+    lambda_max,
     match_and_score,
     op_norm_estimate,
     parse_config_text,
@@ -237,16 +238,7 @@ def test_criterion_6_prox_oracle(announce):
 
 def _sweep(obs, bank, grid, truths, op_norm):
     """Coarse 3-point regularization sweep; returns the best report and trace."""
-    g0 = 2.0 * adjoint(obs.data, obs, bank)
-    lam_max = float(
-        np.sqrt(
-            np.einsum(
-                "mnk,mnk->mn",
-                g0[:, :, grid.support_mask],
-                g0[:, :, grid.support_mask],
-            )
-        ).max()
-    )
+    lam_max = lambda_max(obs, bank)
     best = None
     for frac in (1e-3, 1e-2, 1e-1):
         cfg = SolverConfig(lam=frac * lam_max, max_iters=300)

@@ -9,7 +9,7 @@ import pytest
 from scipy import stats
 from scipy.special import erfcx
 
-from invdiff.mathcore import _poisson_pmf_row, _psi_tail, conv_powers, omega
+from invdiff.mathcore import _poisson_pmf_sum, _psi_tail, conv_powers, omega
 
 
 class TestErfcx:
@@ -109,21 +109,47 @@ class TestOmega:
             omega(1.0, 0.5)
 
 
+def _pmf_rows(j_count, lam):
+    """pmf(k, lam) for k = 0..j_count-1, one row per order: the weighted
+    pmf sum with unit weight on one order per row."""
+    return _poisson_pmf_sum(np.eye(j_count)[:, :, None], np.asarray(lam, dtype=np.float64))
+
+
 class TestPoissonPmf:
     def test_against_scipy_stats(self):
         rng = np.random.default_rng(101)
         lam = rng.uniform(0.01, 80.0, 200)
         want = stats.poisson.pmf(np.arange(150)[:, None], lam[None, :])
-        np.testing.assert_allclose(_poisson_pmf_row(150, lam), want, rtol=1e-10, atol=1e-300)
+        np.testing.assert_allclose(_pmf_rows(150, lam), want, rtol=1e-10, atol=1e-300)
 
     def test_zero_rate(self):
-        out = _poisson_pmf_row(4, [0.0, 2.0])
+        out = _pmf_rows(4, [0.0, 2.0])
         np.testing.assert_array_equal(out[:, 0], [1.0, 0.0, 0.0, 0.0])
         assert (out[:, 1] > 0).all()
 
     def test_extreme_rate_no_overflow(self):
-        val = _poisson_pmf_row(11, 5000.0)[10, 0]
+        val = _pmf_rows(11, [5000.0])[10, 0]
         assert 0.0 <= val < 1e-300
+
+    @pytest.mark.parametrize("lam", [800.0, 2000.0])
+    def test_orders_near_a_large_mean(self, lam):
+        # exp(-lam) underflows, so the orders near lam come from log-space
+        # seeds taken where the recurrence has fallen below the floor; they
+        # carry the whole mass
+        ks = np.arange(int(lam + 8.0 * np.sqrt(lam)))
+        got = _pmf_rows(ks.size, [lam])[:, 0]
+        want = stats.poisson.pmf(ks, lam)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=1e-250)
+        assert got.sum() == pytest.approx(1.0, abs=1e-10)
+
+    def test_weighted_sum_from_an_offset_order(self):
+        # weights broadcast against the means, orders counted from k_lo
+        rng = np.random.default_rng(7)
+        lam = rng.uniform(0.0, 30.0, 50)
+        weights = rng.uniform(0.0, 2.0, (20, 50))
+        want = (weights * stats.poisson.pmf(np.arange(3, 23)[:, None], lam)).sum(axis=0)
+        got = _poisson_pmf_sum(weights, lam, k_lo=3)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def _midpoints(n, step):

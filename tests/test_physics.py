@@ -6,6 +6,7 @@ quadrature, an explicit finite-difference transport solve, and brute-force
 Riemann summation for the emission-window integrals.
 """
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,7 +28,15 @@ from invdiff import (
     synth_psdr,
     truncation_order,
 )
-from invdiff.physics import _first_generation_window, _gammainc_rows, _gl_panels
+from invdiff.physics import (
+    _MAX_PANELS,
+    _first_generation_window,
+    _gl_panels,
+    _panel_count,
+    _rest_sum,
+    _rest_tables,
+    _window_rest_profile,
+)
 from pde_oracle import pde_oracle
 
 D = 1e-10
@@ -334,19 +343,23 @@ class TestPdeOracle:
 
 
 class TestGammaincRows:
-    # x^j e^-x / j! is formed in log space both here and in scipy's series
-    # for gammainc, so each side carries a relative error of a few
-    # |j log x| * eps. On this grid the two differ by up to 8.4e-14
-    # (j = 37, x = 8e-3). Toward x = 1e-6 scipy's own error, measured
+    # With one density per generation, f_j = 1 for a single j, the cumulative
+    # rows are F_k = [k >= j] and the rest sum is S(x) = P(j, x). The pmf
+    # orders come from exp(-x) by the recurrence, seeded afresh at
+    # k = 8, 16, ... where x > k; scipy's series for gammainc forms
+    # x^j e^-x / j! in log space, with a relative error of a few
+    # |j log x| * eps. On this grid the two differ by up to 8.7e-14
+    # (j = 38, x = 1.8e-3). Toward x = 1e-6 scipy's own error, measured
     # against a 40-digit reference, reaches 1.6e-13, so the grid starts at
     # 1e-3.
     X = np.concatenate(([0.0, 1.0, 50.0, 1e3], np.geomspace(1e-3, 1e4, 300)))
 
     @pytest.mark.parametrize("j_max", [1, 2, 3, 12, 40])
     def test_matches_scipy_gammainc(self, j_max):
+        cum = np.cumsum(np.eye(j_max - 1)[:, :, None], axis=0)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _gammainc_rows(j_max, self.X)
+            got = _rest_sum(cum, self.X)
         assert got.shape == (j_max - 1, self.X.size)
         for j, row in zip(range(2, j_max + 1), got):
             want = special.gammainc(j, self.X)
@@ -354,6 +367,76 @@ class TestGammaincRows:
             np.testing.assert_allclose(row[big], want[big], rtol=1e-13, atol=0.0, err_msg=f"{j=}")
             assert np.abs(row[~big]).max(initial=0.0) <= 1e-289
         assert (got[:, self.X == 0.0] == 0.0).all()
+
+
+class TestWindowRestProfile:
+    @staticmethod
+    def _per_generation(phi, t0, t1, n_cells):
+        # the previous formulation as the reference: one window factor per
+        # generation, (P(j, x_hi) - P(j, x_lo)) / kappa_d clipped at 0 on
+        # every cell, weighted by that generation's density and summed. Where
+        # P(j, x_lo) > 1/2 the factor is taken as the equal
+        # Q(j, x_lo) - Q(j, x_hi) of scipy's gammaincc: at kappa_d * H = 1000
+        # the difference of two P close to 1 is off by up to half its value
+        # on the leading cells of the (1200, 1800) window, against a
+        # 50-digit mpmath sum
+        p = phi.params
+        tau = phi.tau_grid[:n_cells]
+        x_hi = np.maximum(p.kappa_d * ((T - t0) - tau), 0.0)
+        x_lo = np.minimum(np.maximum(p.kappa_d * ((T - t1) - tau), 0.0), x_hi)
+        js = np.arange(2, phi.n_generations + 1, dtype=np.float64)[:, None]
+        p_lo = special.gammainc(js, x_lo)
+        win = np.where(
+            p_lo > 0.5,
+            special.gammaincc(js, x_lo) - special.gammaincc(js, x_hi),
+            special.gammainc(js, x_hi) - p_lo,
+        ) / p.kappa_d
+        return np.einsum("jn,jn->n", phi.powers[1:, :n_cells], np.maximum(win, 0.0))
+
+    @pytest.mark.parametrize(
+        "kd_h, tau_steps", [(3.6, 4096), (50.0, 1024), (1000.0, 32)]
+    )
+    def test_matches_per_generation_sum(self, kd_h, tau_steps):
+        # kappa_d * H = 3.6 is the dataset-generation physics; at 1000 the
+        # small grid has x > 745 on most cells, where exp(-x) underflows.
+        # Windows ending at H have an empty low end; the ones that stop
+        # early reach the upper sums on their leading cells at 50 and 1000.
+        # Errors against the reference are at most 3.1e-15 of the peak.
+        p = params(kappa_d=kd_h / T)
+        phi = phi_general(p, tau_steps=tau_steps)
+        assert phi.n_generations > 1
+        tables = _rest_tables(phi)
+        n_all = phi.tau_grid.size
+        windows = [(0.0, T), (300.0, T), (300.0, 2900.0), (1200.0, 1800.0), (3500.0, 3580.0)]
+        upper_cells = 0
+        for t0, t1 in windows:
+            x_lo = p.kappa_d * ((T - t1) - phi.tau_grid)
+            upper_cells += int(np.count_nonzero(x_lo >= tables[2]))
+            want = self._per_generation(phi, t0, t1, n_all)
+            for n_cells in (n_all, n_all // 3):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = _window_rest_profile(phi, tables, t0, t1, n_cells)
+                np.testing.assert_allclose(
+                    got, want[:n_cells], rtol=0.0, atol=1e-14 * want.max(),
+                    err_msg=f"{kd_h=} {t0=} {t1=} {n_cells=}",
+                )
+        assert (upper_cells > 0) == (kd_h > 3.6)
+        x_hi = p.kappa_d * (T - phi.tau_grid)
+        assert (x_hi > 745.0).any() == (kd_h > 745.0)
+
+    def test_tables(self):
+        p = params(kappa_d=50.0 / T)
+        phi = phi_general(p, tau_steps=256)
+        lower, upper, switch = _rest_tables(phi)
+        gens = phi.powers[1:]
+        j_max = phi.n_generations
+        assert lower.shape == (j_max - 1, 256) and upper.shape == (j_max, 256)
+        for k in range(2, j_max + 1):
+            np.testing.assert_allclose(lower[k - 2], gens[: k - 1].sum(axis=0), rtol=1e-14)
+        for k in range(j_max):
+            np.testing.assert_allclose(upper[k], gens[max(k - 1, 0):].sum(axis=0), rtol=1e-14)
+        assert (np.diff(switch) >= 0).all() and switch.min() >= 2
 
 
 class TestGlPanels:
@@ -420,6 +503,69 @@ def first_generation_quad(p, tau_bounds, t0, t1):
         )[0]
         for lo, hi in zip(u_bounds[:-1], u_bounds[1:])
     ])
+
+
+def _window_panels(p, tau_bounds, t0, t1):
+    """The panel count _first_generation_window gives one emitter: the
+    largest over its band parts either side of the kink."""
+    ends = np.clip(tau_bounds, 0.0, max(T - t0, 0.0))
+    split = np.clip(T - t1, ends[:-1], ends[1:])
+    lo = np.concatenate((ends[:-1], split))
+    hi = np.concatenate((split, ends[1:]))
+    return int(_panel_count(p.kappa_d, np.sqrt(lo), np.sqrt(hi)).max())
+
+
+class TestFirstGenerationBatch:
+    GRID = SigmaGrid(
+        boundaries=(0.0, 2.0, 15.0, 20.0, 30.0, 40.0, 50.0, 70.0),
+        support_set=(1, 2, 3, 4, 5, 6, 7),
+    )
+
+    def test_rows_equal_single_emitter_calls(self):
+        # at kappa_d * H = 200 these windows need 20, 20, 14, 7, 5 and 4
+        # panels; emitters that share a count are one broadcast, and each
+        # row is the single-emitter call bit for bit
+        p = params(kappa_d=200.0 / T)
+        phi = phi_general(p, tau_steps=256)
+        tau_bounds = np.asarray(p.tau_of_sigma_px(self.GRID.boundaries))
+        windows = [
+            (0.0, 3000.0), (500.0, 2500.0), (1500.0, 3300.0), (2000.0, 3590.0),
+            (2950.0, 3400.0), (3500.0, 3590.0), (0.0, 3000.0), (T, T), (1500.0, 3300.0),
+        ]
+        counts = {_window_panels(p, tau_bounds, t0, t1) for t0, t1 in windows}
+        assert 4 in counts and max(counts) > 4 and len(counts) > 3
+        t0s, t1s = np.array(windows).T
+        batch = _first_generation_window(phi, tau_bounds, t0s, t1s)
+        assert batch.shape == (len(windows), self.GRID.n_bins)
+        for row, (t0, t1) in zip(batch, windows):
+            np.testing.assert_array_equal(row, _first_generation_window(phi, tau_bounds, t0, t1))
+        empty = _first_generation_window(phi, tau_bounds, np.empty(0), np.empty(0))
+        assert empty.shape == (0, self.GRID.n_bins)
+
+    def test_strong_escape_batch_memory_is_bounded(self):
+        # 40 emitters at kappa_d * H = 2000 need over 4 * _MAX_PANELS
+        # panels in all; groups of at most _MAX_PANELS emitter panels keep
+        # the peak of the batch within the memory a single emitter of
+        # _MAX_PANELS panels would take, scaled from a measured single call
+        p = params(kappa_d=2000.0 / T)
+        phi = phi_general(p, tau_steps=256)
+        tau_bounds = np.asarray(p.tau_of_sigma_px(self.GRID.boundaries))
+        rng = np.random.default_rng(3)
+        t0s = rng.uniform(0.0, 3000.0, 40)
+        t1s = np.minimum(t0s + rng.uniform(10.0, 3000.0, 40), T)
+        counts = [_window_panels(p, tau_bounds, a, b) for a, b in zip(t0s, t1s)]
+        assert sum(counts) > 4 * _MAX_PANELS
+        tracemalloc.start()
+        try:
+            _first_generation_window(phi, tau_bounds, 0.0, T)
+            single = tracemalloc.get_traced_memory()[1]
+            tracemalloc.reset_peak()
+            _first_generation_window(phi, tau_bounds, t0s, t1s)
+            batch = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        per_panel = single / _window_panels(p, tau_bounds, 0.0, T)
+        assert batch <= 1.25 * _MAX_PANELS * per_panel
 
 
 class TestSynthPsdr:

@@ -17,11 +17,13 @@ from invdiff import (
     SigmaGrid,
     SolverConfig,
     SolverDivergenceError,
+    adjoint,
     build_kernel_bank,
     cost,
     fista_solve,
     forward,
     group_norm_sum,
+    lambda_max,
     op_norm_estimate,
     prox_group_nonneg,
 )
@@ -221,6 +223,43 @@ class TestProx:
             prox_group_nonneg(np.zeros((2, 6)), 1.0, SUP6)
         with pytest.raises(ValueError, match="support_mask length"):
             prox_group_nonneg(np.zeros((1, 1, 4)), 1.0, SUP6)
+
+
+class TestLambdaMax:
+    @staticmethod
+    def _observation(bank, seed):
+        # weighted, masked and with a few negative data pixels, so that the
+        # positive part of the adjoint and the weights both matter
+        _, plain = _instance(bank, seed=seed)
+        rng = np.random.default_rng(seed)
+        data = plain.data - 0.05 * plain.data.max() * (rng.uniform(size=plain.data.shape) < 0.1)
+        weights = rng.uniform(0.5, 1.5, data.shape)
+        mask = np.ones_like(data)
+        mask[:, :3] = 0.0
+        return Observation(data, weights, mask)
+
+    def test_first_step_from_zero(self, bank):
+        # above lambda_max one step from zero stays at zero, below it does not
+        for seed in (0, 5):
+            obs = self._observation(bank, seed)
+            lam_max = lambda_max(obs, bank)
+            g = 2.0 * adjoint(obs.data, obs, bank)
+            assert lam_max == pytest.approx(
+                np.sqrt((np.maximum(g, 0.0) ** 2).sum(axis=2)).max(), rel=1e-15
+            )
+            above, trace = fista_solve(obs, bank, SolverConfig(lam=lam_max * (1 + 1e-9), max_iters=1))
+            assert not above.data.any()
+            assert trace.stop_reason == "fixed_point"
+            below, _ = fista_solve(obs, bank, SolverConfig(lam=0.9 * lam_max, max_iters=1))
+            assert below.data.any()
+
+    def test_supported_bins_only(self, bank):
+        obs = self._observation(bank, 1)
+        grid = SigmaGrid(boundaries=GRID.boundaries, support_set=(1, 2))
+        narrow = build_kernel_bank(grid)
+        g = 2.0 * adjoint(obs.data, obs, narrow)[:, :, :2]
+        want = np.sqrt((np.maximum(g, 0.0) ** 2).sum(axis=2)).max()
+        assert lambda_max(obs, narrow) == pytest.approx(want, rel=1e-15)
 
 
 class TestRefusal:
