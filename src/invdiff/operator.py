@@ -15,10 +15,20 @@ The image transforms skip the all-zero pad rows: a real FFT runs along each
 of the M data rows to the padded width, then a complex FFT down the columns
 to the padded height; the inverse takes the column pass first and runs the
 real inverse on the M kept rows only.
+
+A bank depends only on the scale grid, the PSF width and the quadrature
+order, so ``build_kernel_bank`` keeps the last bank it built for the life
+of the process and returns that same object for equal arguments, with the
+FFT plans the bank has cached per image shape. Everything the bank hands
+out is read-only: the quarters, the kernels and every plan spectrum. The
+default 128 x 128 configuration keeps about 7 MB this way: 3.1 MB of
+quarters and 3.7 MB of plan spectra. Nothing keyed on an observation is
+kept.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -185,6 +195,9 @@ class KernelBank:
     def plan(self, shape: tuple[int, int]) -> dict:
         """Cached spectral data for images of the given shape.
 
+        ``ghat`` holds one read-only half spectrum per bin, on the ``pad``
+        panel.
+
         A 'same' convolution on an M x N image never reaches kernel offsets
         beyond M-1 rows or N-1 columns, so each kernel is cropped to that
         reach before its spectrum is taken; the result is unchanged. The
@@ -215,6 +228,7 @@ class KernelBank:
             buf[: km + 1, pn - kn :] = q[: km + 1, kn:0:-1]
             buf[pm - km :, pn - kn :] = q[km:0:-1, kn:0:-1]
             ghat[k] = rfft2(buf)
+        ghat.setflags(write=False)
         plan = {"pad": (pm, pn), "ghat": ghat}
         self._plans[key] = plan
         return plan
@@ -238,7 +252,19 @@ def build_kernel_bank(
         raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
     if quad_order < 1:
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
-    nodes, wts = np.polynomial.legendre.leggauss(int(quad_order))
+    boundaries = tuple(grid.boundaries.tolist())
+    return _cached_bank(boundaries, grid.support_set, float(psf_sigma), int(quad_order))
+
+
+# banks kept per process: a run uses one configuration at a time
+_BANK_CACHE_SIZE = 1
+
+
+@functools.lru_cache(maxsize=_BANK_CACHE_SIZE)
+def _cached_bank(boundaries, support_set, psf_sigma, quad_order) -> KernelBank:
+    """The bank of ``build_kernel_bank`` on normalized, hashable arguments."""
+    grid = SigmaGrid(boundaries=boundaries, support_set=support_set)
+    nodes, wts = np.polynomial.legendre.leggauss(quad_order)
     quarters = []
     radii = []
     b = grid.boundaries
@@ -258,8 +284,8 @@ def build_kernel_bank(
         radii.append(r)
     return KernelBank(
         grid=grid,
-        psf_sigma=float(psf_sigma),
-        quad_order=int(quad_order),
+        psf_sigma=psf_sigma,
+        quad_order=quad_order,
         quarters=tuple(quarters),
         radii=tuple(radii),
     )

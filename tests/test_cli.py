@@ -12,6 +12,7 @@ import pytest
 import invdiff
 from invdiff import Source
 from invdiff.cli import main
+from invdiff.operator import _cached_bank
 from invdiff.tensorio import (
     read_pgm16,
     read_positions_csv,
@@ -196,6 +197,26 @@ class TestSynth:
         want = read_tensor(out / "clean.idf")
         np.testing.assert_allclose(img, want, atol=max(want.max(), 1e-300) / 65535.0)
 
+    @pytest.mark.parametrize("change", ["psf_sigma = 1.5", "kappa_d = 1e-3"])
+    def test_config_change_is_not_served_stale_tables(self, change, tmp_path):
+        # A, then B, then A again in one process: the per-process bank and
+        # phi table must follow the configuration
+        cfg_a, cfg_b = tmp_path / "a.cfg", tmp_path / "b.cfg"
+        cfg_a.write_text(SMALL_CFG)
+        cfg_b.write_text(SMALL_CFG + change + "\n")
+        runs = [(cfg_a, "a1"), (cfg_b, "b"), (cfg_a, "a2")]
+        for cfg, name in runs:
+            assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        names = ("psdr.idf", "clean.idf", "sensed.idf", "truth.csv")
+        files = {d: {f: (tmp_path / d / f).read_bytes() for f in names} for _, d in runs}
+        assert files["a1"] == files["a2"]
+        # the PSF blurs the clean image only; the escape rate changes psdr too
+        changed = ["clean.idf", "sensed.idf"]
+        if change.startswith("kappa_d"):
+            changed.append("psdr.idf")
+        for f in changed:
+            assert files["b"][f] != files["a1"][f], f
+
 
 class TestForward:
     def test_matches_synth_clean(self, cfg_path, synth_dir, tmp_path):
@@ -328,6 +349,21 @@ class TestKernels:
             assert abs(g.sum() - np.sqrt(widths[k - 1])) <= 1e-6
         out_text = capsys.readouterr().out
         assert out_text.count("kernels: bin") == 3
+
+    def test_psf_change_writes_new_kernels(self, cfg_path, tmp_path):
+        blurred = tmp_path / "blurred.cfg"
+        blurred.write_text(SMALL_CFG + "psf_sigma = 1.5\n")
+        for cfg, name in ((cfg_path, "plain"), (blurred, "blurred")):
+            assert main(["kernels", "--config", str(cfg), "--out", str(tmp_path / name)]) == 0
+        _cached_bank.cache_clear()  # the reference is built cold
+        bank = invdiff.build_kernel_bank(
+            invdiff.SigmaGrid(boundaries=(0.0, 2.0, 5.0, 8.0), support_set=(1, 2, 3)), 1.5
+        )
+        for k, want in enumerate(bank.kernels, start=1):
+            plain = read_tensor(tmp_path / "plain" / f"kernel_{k:02d}.idf")
+            got = read_tensor(tmp_path / "blurred" / f"kernel_{k:02d}.idf")
+            assert got.shape != plain.shape
+            np.testing.assert_array_equal(got, want)
 
 
 class TestMainPlumbing:

@@ -26,6 +26,7 @@ from invdiff import (
     omega,
     op_norm_estimate,
 )
+from invdiff.operator import _cached_bank
 
 GRID = SigmaGrid(boundaries=(0.0, 2.0, 5.0, 10.0), support_set=(1, 2, 3))
 
@@ -196,8 +197,10 @@ class TestKernelBank:
     def test_default_bank_memory(self):
         # the quarters of the default grid hold about 3.1 MB; the full
         # (2r+1)^2 kernels would hold 12.4 MB, and with crop copies in the
-        # plan the traced peak would reach 19.6 MB
+        # plan the traced peak would reach 19.6 MB; the cache is cleared so
+        # that the bank is built cold inside the trace
         cfg = default_config()
+        _cached_bank.cache_clear()
         tracemalloc.start()
         try:
             base = tracemalloc.get_traced_memory()[0]
@@ -248,6 +251,81 @@ class TestKernelBank:
             build_kernel_bank(GRID, psf_sigma=-1.0)
         with pytest.raises(ValueError, match="quad_order"):
             build_kernel_bank(GRID, quad_order=0)
+
+
+class TestBankCache:
+    # psf 0.5 and quadrature order 8 are used by no other test, so the base
+    # bank is built here
+    BASE = dict(grid=GRID, psf_sigma=0.5, quad_order=8)
+
+    def test_equal_inputs_share_one_bank(self):
+        b = build_kernel_bank(GRID, 0.5, 8)
+        same_grid = SigmaGrid(
+            boundaries=np.array([0.0, 2.0, 5.0, 10.0]), support_set=(3, 2, 1, 1)
+        )
+        assert build_kernel_bank(**self.BASE) is b
+        assert build_kernel_bank(same_grid, np.float64(0.5), np.int64(8)) is b
+        assert build_kernel_bank(grid=same_grid, quad_order=8, psf_sigma=0.5) is b
+        plan = b.plan((24, 24))
+        assert build_kernel_bank(GRID, 0.5, 8).plan((24, 24)) is plan
+
+    def test_second_call_allocates_almost_nothing(self):
+        build_kernel_bank(**self.BASE).plan((24, 24))
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            build_kernel_bank(**self.BASE).plan((24, 24))
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("grid", SigmaGrid(boundaries=(0.0, 2.0, 5.0, 11.0), support_set=(1, 2, 3))),
+            ("grid", SigmaGrid(boundaries=(0.0, 2.0, 5.0, 10.0), support_set=(1, 2))),
+            ("psf_sigma", 0.75),
+            ("quad_order", 9),
+        ],
+    )
+    def test_each_key_field_gives_its_own_bank(self, field, value):
+        base = build_kernel_bank(**self.BASE)
+        args = dict(self.BASE, **{field: value})
+        b = build_kernel_bank(**args)
+        assert b is not base
+        assert b.grid.support_set == args["grid"].support_set
+        np.testing.assert_array_equal(b.grid.support_mask, args["grid"].support_mask)
+        np.testing.assert_array_equal(b.grid.boundaries, args["grid"].boundaries)
+        assert (b.psf_sigma, b.quad_order) == (args["psf_sigma"], args["quad_order"])
+        want = _outer_product_kernels(args["grid"], args["psf_sigma"], args["quad_order"])
+        for got, ref in zip(b.kernels, want):
+            assert got.shape == ref.shape
+            assert _rel_err(got, ref) <= 1e-14
+        assert build_kernel_bank(**self.BASE) is not b
+
+    def test_shared_arrays_are_read_only(self):
+        b = build_kernel_bank(**self.BASE)
+        ghat = b.plan((24, 32))["ghat"]
+        assert not ghat.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            ghat[0, 0, 0] = 0.0
+        assert not any(q.flags.writeable for q in b.quarters)
+        assert not any(g.flags.writeable for g in b.kernels)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(psf_sigma=-1.0), "psf_sigma"),
+            (dict(psf_sigma=np.nan), "psf_sigma"),
+            (dict(quad_order=0), "quad_order"),
+        ],
+    )
+    def test_invalid_inputs_raise_and_are_not_cached(self, kwargs, match):
+        _cached_bank.cache_clear()
+        with pytest.raises(ValueError, match=match):
+            build_kernel_bank(GRID, **kwargs)
+        assert _cached_bank.cache_info().currsize == 0
 
 
 class TestForward:

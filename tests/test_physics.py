@@ -6,6 +6,7 @@ quadrature, an explicit finite-difference transport solve, and brute-force
 Riemann summation for the emission-window integrals.
 """
 
+import dataclasses
 import tracemalloc
 import warnings
 
@@ -30,11 +31,11 @@ from invdiff import (
 )
 from invdiff.physics import (
     _MAX_PANELS,
+    _cached_phi,
     _first_generation_window,
     _gl_panels,
     _panel_count,
     _rest_sum,
-    _rest_tables,
     _window_rest_profile,
 )
 from pde_oracle import pde_oracle
@@ -303,6 +304,91 @@ class TestPhiTable:
             phi_general(params(), tau_steps=128, eps=0.0)
 
 
+class TestPhiCache:
+    # kappa_a 1.5e-6 and 320 cells are used by no other test, so the base
+    # table is built here; kappa_d * H = 3.6 gives it eleven generations
+    BASE = dict(
+        params=params(kappa_a=1.5e-6, kappa_d=1e-3), tau_steps=320, eps=1e-6
+    )
+
+    def test_equal_inputs_share_one_table(self):
+        phi = phi_general(**self.BASE)
+        p = self.BASE["params"]
+        as_np = PhysicalParams(
+            *(np.float64(getattr(p, f.name)) for f in dataclasses.fields(p))
+        )
+        assert phi_general(p, 320, 1e-6) is phi
+        assert phi_general(p, 320) is phi
+        assert phi_general(tau_steps=320, params=p) is phi
+        assert phi_general(as_np, np.int64(320), np.float64(1e-6)) is phi
+        assert phi.rest_tables is phi_general(p, 320).rest_tables
+
+    def test_second_call_allocates_almost_nothing(self):
+        phi_general(**self.BASE).rest_tables
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            phi_general(**self.BASE).rest_tables
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4096
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("kappa_a", 2e-6),
+            ("kappa_d", 2e-3),
+            ("diffusion", 2e-10),
+            ("horizon", 1800.0),
+            ("pixel_pitch", 2e-5),
+            ("tau_steps", 256),
+            ("eps", 1e-3),
+        ],
+    )
+    def test_each_key_field_gives_its_own_table(self, field, value):
+        base = phi_general(**self.BASE)
+        args = dict(self.BASE)
+        if field in ("tau_steps", "eps"):
+            args[field] = value
+        else:
+            args["params"] = dataclasses.replace(args["params"], **{field: value})
+        phi = phi_general(**args)
+        assert phi is not base
+        assert phi.params == args["params"]
+        assert phi.tau_grid.size == args["tau_steps"]
+        cold = _cached_phi.__wrapped__(args["params"], args["tau_steps"], args["eps"])
+        assert phi.j_max == cold.j_max
+        for name in ("tau_grid", "values", "powers"):
+            np.testing.assert_array_equal(getattr(phi, name), getattr(cold, name))
+        if field != "pixel_pitch":
+            # the pitch only converts scales to pixels
+            assert not np.array_equal(phi.values, base.values)
+        assert phi_general(**self.BASE) is not phi
+
+    def test_shared_arrays_are_read_only(self):
+        phi = phi_general(**self.BASE)
+        arrays = (phi.tau_grid, phi.values, phi.powers, *phi.rest_tables)
+        assert not any(a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError, match="read-only"):
+            phi.rest_tables[0][0, 0] = 0.0
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(tau_steps=8), "tau_steps"),
+            (dict(eps=0.0), "eps"),
+            (dict(eps=np.nan), "eps"),
+        ],
+    )
+    def test_invalid_inputs_raise_and_are_not_cached(self, kwargs, match):
+        _cached_phi.cache_clear()
+        args = dict(self.BASE, **kwargs)
+        with pytest.raises(ValueError, match=match):
+            phi_general(**args)
+        assert _cached_phi.cache_info().currsize == 0
+
+
 class TestPdeOracle:
     def test_mass_conserved(self):
         res = pde_oracle(params(), n_z=400)
@@ -405,7 +491,7 @@ class TestWindowRestProfile:
         p = params(kappa_d=kd_h / T)
         phi = phi_general(p, tau_steps=tau_steps)
         assert phi.n_generations > 1
-        tables = _rest_tables(phi)
+        tables = phi.rest_tables
         n_all = phi.tau_grid.size
         windows = [(0.0, T), (300.0, T), (300.0, 2900.0), (1200.0, 1800.0), (3500.0, 3580.0)]
         upper_cells = 0
@@ -416,7 +502,7 @@ class TestWindowRestProfile:
             for n_cells in (n_all, n_all // 3):
                 with warnings.catch_warnings():
                     warnings.simplefilter("error")
-                    got = _window_rest_profile(phi, tables, t0, t1, n_cells)
+                    got = _window_rest_profile(phi, t0, t1, n_cells)
                 np.testing.assert_allclose(
                     got, want[:n_cells], rtol=0.0, atol=1e-14 * want.max(),
                     err_msg=f"{kd_h=} {t0=} {t1=} {n_cells=}",
@@ -428,7 +514,7 @@ class TestWindowRestProfile:
     def test_tables(self):
         p = params(kappa_d=50.0 / T)
         phi = phi_general(p, tau_steps=256)
-        lower, upper, switch = _rest_tables(phi)
+        lower, upper, switch = phi.rest_tables
         gens = phi.powers[1:]
         j_max = phi.n_generations
         assert lower.shape == (j_max - 1, 256) and upper.shape == (j_max, 256)
