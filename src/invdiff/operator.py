@@ -7,10 +7,11 @@ kernels (exact pixel integration, Gauss-Legendre averaging across each bin)
 and applies the forward map and its adjoint by FFT on a zero-padded panel.
 
 Each kernel is a weighted sum of separable outer products of a profile that
-is even in both offsets, so the bank keeps only its quarter (offsets 0..r),
-built as one small matmul over the response rows of a bin's quadrature
-nodes. The FFT plan writes each cropped quarter into the four corners of the
-zero-padded panel, and the full kernels are mirrored only when asked for.
+is even in both offsets, so the bank keeps only the factors: the scaled
+response rows of a bin's quadrature nodes at offsets 0..r. The FFT plan sums
+outer products of the rows' real 1-D spectra, and the full kernels are formed
+only when asked for. Neither takes a BLAS call, so neither depends on the
+BLAS thread count.
 The image transforms skip the all-zero pad rows: a real FFT runs along each
 of the M data rows to the padded width, then a complex FFT down the columns
 to the padded height; the inverse takes the column pass first and runs the
@@ -20,10 +21,9 @@ A bank depends only on the scale grid, the PSF width and the quadrature
 order, so ``build_kernel_bank`` keeps the last bank it built for the life
 of the process and returns that same object for equal arguments, with the
 FFT plans the bank has cached per image shape. Everything the bank hands
-out is read-only: the quarters, the kernels and every plan spectrum. The
-default 128 x 128 configuration keeps about 7 MB this way: 3.1 MB of
-quarters and 3.7 MB of plan spectra. Nothing keyed on an observation is
-kept.
+out is read-only: the rows, the kernels and every plan spectrum. The
+default 128 x 128 configuration keeps about 2 MB this way: 0.18 MB of rows
+and 1.85 MB of plan spectra. Nothing keyed on an observation is kept.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.fft import fft, ifft, irfft, next_fast_len, rfft, rfft2
+from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 from .mathcore import _omega_rows
 
@@ -49,6 +49,15 @@ class SigmaGrid:
 
     boundaries: np.ndarray
     support_set: tuple[int, ...]
+
+    def _key(self):
+        return tuple(self.boundaries.tolist()), self.support_set
+
+    def __eq__(self, other):
+        return isinstance(other, SigmaGrid) and self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
 
     def __post_init__(self):
         b = np.asarray(self.boundaries, dtype=np.float64)
@@ -161,33 +170,34 @@ def kernel_radius(sigma_hi: float, psf_sigma: float) -> int:
     return int(np.ceil(6.0 * (sigma_hi + psf_sigma))) + 2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KernelBank:
     """Per-bin convolution kernels, fixed after construction.
 
-    Every kernel is even in both offsets, so only its quarter is stored:
-    ``quarters[k][i, j]`` is kernel k at offsets (+-i, +-j), 0 <= i, j <= r_k,
-    as a read-only (r_k + 1) x (r_k + 1) array.
+    Kernel k is the sum over quadrature nodes t of u_t (x) u_t, so only the
+    even rows are stored: ``rows[k][t, i]`` is u_t at offsets +-i, 0 <= i <=
+    r_k, in a read-only (quad_order, r_k + 1) array. Banks compare by identity.
     """
 
     grid: SigmaGrid
     psf_sigma: float
     quad_order: int
-    quarters: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...]
     radii: tuple[int, ...]
-    _plans: dict = field(default_factory=dict, repr=False, compare=False)
+    _plans: dict = field(default_factory=dict, repr=False)
 
     @property
     def kernels(self) -> tuple[np.ndarray, ...]:
-        """The full (2r+1) x (2r+1) kernels, mirrored from the quarters.
+        """The full (2r+1) x (2r+1) kernels, summed and mirrored from the rows.
 
-        Built afresh on each access (read-only copies, nothing cached); the
-        operator itself only reads the quarters.
+        Built afresh on each access (read-only, nothing cached) as fixed-order
+        sums of u_ti * u_tj, so each is exactly symmetric; the operator reads
+        only the rows.
         """
         out = []
-        for q, r in zip(self.quarters, self.radii):
+        for u, r in zip(self.rows, self.radii):
             idx = np.abs(np.arange(-r, r + 1))
-            g = q[idx][:, idx]
+            g = np.einsum("ti,tj->ij", u, u)[idx][:, idx]
             g.setflags(write=False)
             out.append(g)
         return tuple(out)
@@ -195,14 +205,15 @@ class KernelBank:
     def plan(self, shape: tuple[int, int]) -> dict:
         """Cached spectral data for images of the given shape.
 
-        ``ghat`` holds one read-only half spectrum per bin, on the ``pad``
-        panel.
+        ``ghat`` holds one read-only, real half spectrum per bin, on the
+        ``pad`` panel.
 
         A 'same' convolution on an M x N image never reaches kernel offsets
         beyond M-1 rows or N-1 columns, so each kernel is cropped to that
         reach before its spectrum is taken; the result is unchanged. The
-        cropped kernel goes into the pad panel with offset (i, j) at
-        (i mod pm, j mod pn): its quarter fills the four corners.
+        cropped kernel sits in the pad panel with offset (i, j) at
+        (i mod pm, j mod pn), so its spectrum is the sum over nodes of the
+        outer product of the row spectra on pm and on pn points.
         """
         key = (int(shape[0]), int(shape[1]))
         hit = self._plans.get(key)
@@ -216,22 +227,22 @@ class KernelBank:
         # whole 2 * rm + 1 kernel (likewise for columns)
         pm = next_fast_len(m + rm)
         pn = next_fast_len(n + rn)
-        ghat = np.empty(
-            (len(self.quarters), pm, pn // 2 + 1), dtype=np.complex128
-        )
-        buf = np.zeros((pm, pn))
-        for k, (q, r) in enumerate(zip(self.quarters, self.radii)):
-            km, kn = min(r, m - 1), min(r, n - 1)
-            buf.fill(0.0)
-            buf[: km + 1, : kn + 1] = q[: km + 1, : kn + 1]
-            buf[pm - km :, : kn + 1] = q[km:0:-1, : kn + 1]
-            buf[: km + 1, pn - kn :] = q[: km + 1, kn:0:-1]
-            buf[pm - km :, pn - kn :] = q[km:0:-1, kn:0:-1]
-            ghat[k] = rfft2(buf)
+        ghat = np.empty((len(self.rows), pm, pn // 2 + 1))
+        for k, (u, r) in enumerate(zip(self.rows, self.radii)):
+            col = _even_spectra(u, min(r, n - 1), pn)[:, : pn // 2 + 1]
+            ghat[k] = np.einsum("ti,tj->ij", _even_spectra(u, min(r, m - 1), pm), col)
         ghat.setflags(write=False)
         plan = {"pad": (pm, pn), "ghat": ghat}
         self._plans[key] = plan
         return plan
+
+
+def _even_spectra(u: np.ndarray, reach: int, p: int) -> np.ndarray:
+    """Real spectra on p points of the even rows ``u`` cut to offsets +-reach."""
+    buf = np.zeros((u.shape[0], p))
+    buf[:, : reach + 1] = u[:, : reach + 1]
+    buf[:, p - reach :] = u[:, reach:0:-1]
+    return fft(buf, axis=1).real
 
 
 def build_kernel_bank(
@@ -241,19 +252,17 @@ def build_kernel_bank(
 
     Kernel k is (1/sqrt(width_k)) * integral over the bin of the separable
     pixel response at scale sigma + psf_sigma, evaluated by Gauss-Legendre
-    quadrature. The response is even in the offset, so only the quarter
-    offsets 0..r are formed: the response rows of all quadrature nodes of a
-    bin come from one call, and the quadrature sum of outer products is
-    rows.T @ diag(weights) @ rows (rank quad_order), made exactly symmetric
-    under axis swap, then scaled by 1/sqrt(width_k) and clipped at 0. The
-    mirrored kernel's total mass is sqrt(width_k) up to tail truncation.
+    quadrature as sum_t c_t rho_t (x) rho_t, c_t = w_t * half_k / sqrt(width_k).
+    The response rho_t is even and non-negative, so the bank keeps the rows
+    u_t = sqrt(c_t) * rho_t at offsets 0..r (0.18 MB for the default grid),
+    and each kernel is non-negative as a sum of their outer products. Its
+    total mass is sqrt(width_k) up to tail truncation.
     """
     if not (np.isfinite(psf_sigma) and psf_sigma >= 0):
         raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
     if quad_order < 1:
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
-    boundaries = tuple(grid.boundaries.tolist())
-    return _cached_bank(boundaries, grid.support_set, float(psf_sigma), int(quad_order))
+    return _cached_bank(grid, float(psf_sigma), int(quad_order))
 
 
 # banks kept per process: a run uses one configuration at a time
@@ -261,34 +270,22 @@ _BANK_CACHE_SIZE = 1
 
 
 @functools.lru_cache(maxsize=_BANK_CACHE_SIZE)
-def _cached_bank(boundaries, support_set, psf_sigma, quad_order) -> KernelBank:
-    """The bank of ``build_kernel_bank`` on normalized, hashable arguments."""
-    grid = SigmaGrid(boundaries=boundaries, support_set=support_set)
+def _cached_bank(grid, psf_sigma, quad_order) -> KernelBank:
+    """The bank of ``build_kernel_bank`` on normalized arguments."""
     nodes, wts = np.polynomial.legendre.leggauss(quad_order)
-    quarters = []
-    radii = []
+    rows, radii = [], []
     b = grid.boundaries
     for k in range(grid.n_bins):
         lo, hi = b[k], b[k + 1]
         r = kernel_radius(hi, psf_sigma)
         half = 0.5 * (hi - lo)
         mid = 0.5 * (hi + lo)
-        rows = _omega_rows(mid + half * nodes + psf_sigma, r)
-        q = (rows.T * (wts * half)) @ rows
-        # the matmul need not round q[i, j] and q[j, i] alike
-        q = np.triu(q) + np.triu(q, 1).T
-        q /= np.sqrt(hi - lo)
-        np.maximum(q, 0.0, out=q)
-        q.setflags(write=False)
-        quarters.append(q)
+        u = _omega_rows(mid + half * nodes + psf_sigma, r)
+        u *= np.sqrt(wts * half / np.sqrt(hi - lo))[:, None]
+        u.setflags(write=False)
+        rows.append(u)
         radii.append(r)
-    return KernelBank(
-        grid=grid,
-        psf_sigma=psf_sigma,
-        quad_order=quad_order,
-        quarters=tuple(quarters),
-        radii=tuple(radii),
-    )
+    return KernelBank(grid, psf_sigma, quad_order, tuple(rows), tuple(radii))
 
 
 def tensor_data(a) -> np.ndarray:
@@ -297,13 +294,13 @@ def tensor_data(a) -> np.ndarray:
 
 
 def _spectrum(img: np.ndarray, pad: tuple[int, int]) -> np.ndarray:
-    """rfft2 of ``img`` zero-padded to ``pad``, skipping the all-zero rows."""
+    """2-D real FFT of ``img`` zero-padded to ``pad``, skipping the all-zero rows."""
     pm, pn = pad
     return fft(rfft(img, n=pn, axis=1), n=pm, axis=0)
 
 
 def _crop_inverse(spec: np.ndarray, shape: tuple[int, int], pad: tuple[int, int]):
-    """irfft2 of ``spec`` on the ``pad`` panel, cropped to ``shape``.
+    """Inverse 2-D real FFT of ``spec`` on the ``pad`` panel, cropped to ``shape``.
 
     Only the kept rows are inverted along the row axis; ``n=`` is needed
     because an odd padded width is not recoverable from the half spectrum.
@@ -367,9 +364,9 @@ def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> flo
     column). The iteration therefore runs only on the reached pixels: the
     positive-weight pixels with a masked-in pixel within that reach. It
     starts from 1 on them and zeroes every iterate elsewhere, where it holds
-    only FFT round-off. Kernels are clipped at 0, so on the reached pixels
-    the map is entrywise non-negative and similar to the symmetric A A^T.
-    Each iterate's Collatz-Wielandt ratio, the largest
+    only FFT round-off. Kernels are sums of non-negative outer products, so
+    on the reached pixels the map is entrywise non-negative and similar to
+    the symmetric A A^T. Each iterate's Collatz-Wielandt ratio, the largest
     (forward(adjoint(d)))_i / d_i over reached pixels with d_i > 0, is
     therefore at least ||A||^2 (a reached pixel that d never reaches has an
     all-zero row and column). The square root of the smallest ratio seen is
@@ -397,7 +394,7 @@ def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> flo
     for _ in range(iters):
         y = forward(adjoint(d, obs, bank), bank)
         y[~reached] = 0.0
-        ny = np.linalg.norm(y)
+        ny = np.sqrt(np.einsum("ij,ij->", y, y))
         if ny == 0.0:
             return 0.0
         pos = d > 0

@@ -259,8 +259,8 @@ def fista_solve(
         worst = _max_pixel_norm(neg)
         s = cfg.lam / worst if worst > cfg.lam else 1.0
         w_resid = obs.weights * resid
-        cross = float(np.vdot(w_resid, weighted_data))
-        return -2.0 * s * cross - s * s * float(np.vdot(w_resid, w_resid))
+        cross = float(np.einsum("ij,ij->", w_resid, weighted_data))
+        return -2.0 * s * cross - s * s * float(np.einsum("ij,ij->", w_resid, w_resid))
 
     def prox_step(point, fwd_point):
         nonlocal dual_best

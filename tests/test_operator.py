@@ -90,6 +90,26 @@ class TestSigmaGrid:
         with pytest.raises(ValueError, match="integers, got 1.5"):
             SigmaGrid(boundaries=(0.0, 2.0, 4.0), support_set=(1.5, 2))
 
+    def test_equal_grids_are_equal_and_hash_alike(self):
+        a = SigmaGrid(boundaries=(0.0, 2.0, 5.0), support_set=(1, 2))
+        b = SigmaGrid(boundaries=np.array([0, 2, 5]), support_set=(2, 1, 2))
+        assert a == b and not a != b
+        assert hash(a) == hash(b)
+        assert len({a, b}) == 1
+
+    @pytest.mark.parametrize(
+        "other",
+        [
+            SigmaGrid(boundaries=(0.0, 2.0, 6.0), support_set=(1, 2)),
+            SigmaGrid(boundaries=(0.0, 2.0, 5.0, 9.0), support_set=(1, 2)),
+            SigmaGrid(boundaries=(0.0, 2.0, 5.0), support_set=(2,)),
+        ],
+    )
+    def test_each_differing_field_gives_an_unequal_grid(self, other):
+        grid = SigmaGrid(boundaries=(0.0, 2.0, 5.0), support_set=(1, 2))
+        assert grid != other and not grid == other
+        assert grid != (grid.boundaries, grid.support_set)
+
 
 class TestPsdrTensor:
     def test_validation(self):
@@ -175,15 +195,18 @@ class TestKernelBank:
 
     def test_plan_matches_crop_and_roll_of_full_kernels(self):
         # reference: crop each full kernel to the image's reach, place it at
-        # the panel's corner and roll its centre to (0, 0)
+        # the panel's corner, roll its centre to (0, 0) and take its rfft2;
+        # the plan sums separable row spectra instead, so the two agree to
+        # rounding, not bit for bit
         for psf_sigma in (0.0, 1.5):
             b = build_kernel_bank(ORACLE_GRID, psf_sigma)
-            for q, r in zip(b.quarters, b.radii):
-                assert q.shape == (r + 1, r + 1)
-                assert not q.flags.writeable
+            for u, r in zip(b.rows, b.radii):
+                assert u.shape == (16, r + 1)
+                assert not u.flags.writeable
             kernels = b.kernels
             for shape in ORACLE_SHAPES:
                 plan = b.plan(shape)
+                assert plan["ghat"].dtype == np.float64
                 pm, pn = plan["pad"]
                 for k, (g, r) in enumerate(zip(kernels, b.radii)):
                     km, kn = min(r, shape[0] - 1), min(r, shape[1] - 1)
@@ -192,13 +215,13 @@ class TestKernelBank:
                         r - km : r + km + 1, r - kn : r + kn + 1
                     ]
                     want = rfft2(np.roll(buf, (-km, -kn), axis=(0, 1)))
-                    np.testing.assert_array_equal(plan["ghat"][k], want)
+                    assert _rel_err(plan["ghat"][k], want) <= 1e-14
 
     def test_default_bank_memory(self):
-        # the quarters of the default grid hold about 3.1 MB; the full
-        # (2r+1)^2 kernels would hold 12.4 MB, and with crop copies in the
-        # plan the traced peak would reach 19.6 MB; the cache is cleared so
-        # that the bank is built cold inside the trace
+        # the rows of the default grid hold 0.18 MB and the traced peak with
+        # the 128 x 128 plan is 2.4 MB; kernel quarters held 3.1 MB (peak
+        # 7.9 MB) and the full (2r+1)^2 kernels 12.4 MB; the cache is
+        # cleared so that the bank is built cold inside the trace
         cfg = default_config()
         _cached_bank.cache_clear()
         tracemalloc.start()
@@ -210,8 +233,8 @@ class TestKernelBank:
             peak = tracemalloc.get_traced_memory()[1] - base
         finally:
             tracemalloc.stop()
-        assert held <= 4e6
-        assert peak <= 10e6
+        assert held <= 0.5e6
+        assert peak <= 3e6
 
     def test_quadrature_converged(self):
         b16 = build_kernel_bank(GRID, psf_sigma=0.0, quad_order=16)
@@ -269,6 +292,11 @@ class TestBankCache:
         plan = b.plan((24, 24))
         assert build_kernel_bank(GRID, 0.5, 8).plan((24, 24)) is plan
 
+    def test_banks_compare_by_identity(self):
+        b = build_kernel_bank(**self.BASE)
+        assert b == b and {b: 1}[b] == 1
+        assert b != build_kernel_bank(GRID, 0.5, 9)
+
     def test_second_call_allocates_almost_nothing(self):
         build_kernel_bank(**self.BASE).plan((24, 24))
         tracemalloc.start()
@@ -310,7 +338,7 @@ class TestBankCache:
         assert not ghat.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             ghat[0, 0, 0] = 0.0
-        assert not any(q.flags.writeable for q in b.quarters)
+        assert not any(u.flags.writeable for u in b.rows)
         assert not any(g.flags.writeable for g in b.kernels)
 
     @pytest.mark.parametrize(
