@@ -17,7 +17,6 @@ from .detect import (
     find_sources,
     match_and_score,
 )
-from .mathcore import omega
 from .operator import (
     KernelBank,
     Observation,
@@ -27,6 +26,7 @@ from .operator import (
     build_kernel_bank,
     forward,
     kernel_radius,
+    omega,
     op_norm_estimate,
 )
 from .physics import (

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import __version__
 from .config import RunConfig, default_config, parse_config
-from .detect import aggregate_map, find_sources, match_and_score
-from .operator import Observation, build_kernel_bank, forward
+from .detect import DetectionResult, aggregate_map, find_sources, match_and_score
+from .operator import KernelBank, Observation, build_kernel_bank, forward
 from .physics import Source, phi_general, sensor_model, synth_psdr
 from .solver import fista_solve
 from .tensorio import (
@@ -40,16 +40,17 @@ def _add_common(sub):
     sub.add_argument("--seed", type=int, default=None, help="override the configured random seed")
 
 
-def _load_config(args) -> RunConfig:
+def _setup(args) -> tuple[RunConfig, Path]:
+    """The run's configuration, then its output directory, created if missing."""
     cfg = parse_config(args.config) if args.config else default_config()
     if args.seed is not None:
         cfg = dataclasses.replace(cfg, seed=args.seed)
-    return cfg
-
-
-def _out_dir(args) -> Path:
     args.out.mkdir(parents=True, exist_ok=True)
-    return args.out
+    return cfg, args.out
+
+
+def _kernel_bank(cfg: RunConfig) -> KernelBank:
+    return build_kernel_bank(cfg.sigma_grid(), cfg.psf_sigma, cfg.quad_order)
 
 
 def _place_sources(cfg: RunConfig, rng: np.random.Generator) -> list[Source]:
@@ -63,6 +64,9 @@ def _place_sources(cfg: RunConfig, rng: np.random.Generator) -> list[Source]:
         )
     if cfg.num_sources < 0:
         raise ValueError(f"num_sources must be >= 0, got {cfg.num_sources}")
+    sep = cfg.source_min_separation
+    if not (np.isfinite(sep) and sep >= 0):
+        raise ValueError(f"source_min_separation must be finite and >= 0, got {sep}")
     t0, t1 = cfg.source_t_start, cfg.effective_t_stop()
     placed: list[Source] = []
     attempts = 0
@@ -70,31 +74,25 @@ def _place_sources(cfg: RunConfig, rng: np.random.Generator) -> list[Source]:
         if attempts >= _PLACEMENT_ATTEMPTS * max(cfg.num_sources, 1):
             raise ValueError(
                 f"could not place {cfg.num_sources} emitters at least "
-                f"{cfg.source_min_separation} px apart inside the margins"
+                f"{sep} px apart inside the margins"
             )
         attempts += 1
         m = int(rng.integers(lo_m, hi_m + 1))
         n = int(rng.integers(lo_n, hi_n + 1))
-        if all(
-            np.hypot(m - s.m, n - s.n) >= cfg.source_min_separation for s in placed
-        ):
+        if all(np.hypot(m - s.m, n - s.n) >= sep for s in placed):
             placed.append(Source(m=m, n=n, rate=cfg.source_rate, t_start=t0, t_stop=t1))
     return placed
 
 
 def _cmd_synth(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    params = cfg.physical_params()
-    grid = cfg.sigma_grid()
+    cfg, out = _setup(args)
     rng = np.random.default_rng(cfg.seed)
     sources = cfg.explicit_sources()
     if sources is None:
         sources = _place_sources(cfg, rng)
-    phi = phi_general(params, cfg.tau_steps, cfg.phi_eps)
-    psdr = synth_psdr(sources, grid, phi, cfg.shape)
-    bank = build_kernel_bank(grid, cfg.psf_sigma, cfg.quad_order)
-    clean = forward(psdr, bank)
+    phi = phi_general(cfg.physical_params(), cfg.tau_steps, cfg.phi_eps)
+    psdr = synth_psdr(sources, cfg.sigma_grid(), phi, cfg.shape)
+    clean = forward(psdr, _kernel_bank(cfg))
     sensed = sensor_model(clean, cfg.noise_sigma, cfg.bits, rng)
     write_tensor(out / "psdr.idf", psdr.data)
     write_tensor(out / "clean.idf", clean)
@@ -111,14 +109,11 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_forward(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = cfg.sigma_grid()
+    cfg, out = _setup(args)
     tensor = read_tensor(args.input)
     if tensor.ndim != 3:
         raise ValueError(f"{args.input}: expected an M x N x K tensor, got rank {tensor.ndim}")
-    bank = build_kernel_bank(grid, cfg.psf_sigma, cfg.quad_order)
-    img = forward(tensor, bank)
+    img = forward(tensor, _kernel_bank(cfg))
     write_tensor(out / "forward.idf", img)
     if args.pgm:
         write_pgm16(out / "forward.pgm", img)
@@ -127,27 +122,18 @@ def _cmd_forward(args) -> int:
 
 
 def _read_observation(cfg: RunConfig, data: np.ndarray) -> Observation:
-    if cfg.weights_path:
-        weights = read_tensor(cfg.weights_path)
-    else:
-        weights = np.ones_like(data)
-    if cfg.mask_path:
-        mask = read_tensor(cfg.mask_path)
-    else:
-        mask = np.ones_like(data)
+    weights = read_tensor(cfg.weights_path) if cfg.weights_path else np.ones_like(data)
+    mask = read_tensor(cfg.mask_path) if cfg.mask_path else np.ones_like(data)
     return Observation(data=data, weights=weights, mask=mask)
 
 
 def _cmd_solve(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = cfg.sigma_grid()
+    cfg, out = _setup(args)
     data = read_tensor(args.input)
     if data.ndim != 2:
         raise ValueError(f"{args.input}: expected a 2D image, got rank {data.ndim}")
     obs = _read_observation(cfg, data)
-    bank = build_kernel_bank(grid, cfg.psf_sigma, cfg.quad_order)
-    recovered, trace = fista_solve(obs, bank, cfg.solver_config())
+    recovered, trace = fista_solve(obs, _kernel_bank(cfg), cfg.solver_config())
     write_tensor(out / "recovered.idf", recovered.data)
     trace.to_csv(out / "trace.csv")
     print(
@@ -160,30 +146,27 @@ def _cmd_solve(args) -> int:
     return 0
 
 
-def _activity_from_file(path: Path, cfg: RunConfig) -> np.ndarray:
-    tensor = read_tensor(path)
-    if tensor.ndim == 3:
-        return aggregate_map(tensor, cfg.sigma_grid())
-    if tensor.ndim == 2:
-        return tensor
-    raise ValueError(f"{path}: expected rank 2 or 3, got rank {tensor.ndim}")
+def _detect_input(args, cfg: RunConfig) -> DetectionResult:
+    """Sources in the ``--input`` tensor (rank 3) or activity map (rank 2)."""
+    activity = read_tensor(args.input)
+    if activity.ndim == 3:
+        activity = aggregate_map(activity, cfg.sigma_grid())
+    elif activity.ndim != 2:
+        raise ValueError(f"{args.input}: expected rank 2 or 3, got rank {activity.ndim}")
+    return find_sources(activity, cfg.detect_rel_threshold, cfg.detect_min_separation)
 
 
 def _cmd_detect(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    activity = _activity_from_file(args.input, cfg)
-    dets = find_sources(activity, cfg.detect_rel_threshold, cfg.detect_min_separation)
+    cfg, out = _setup(args)
+    dets = _detect_input(args, cfg)
     dets.to_csv(out / "detections.csv")
     print(f"detect: {len(dets)} sources -> {out / 'detections.csv'}")
     return 0
 
 
 def _cmd_eval(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    activity = _activity_from_file(args.input, cfg)
-    dets = find_sources(activity, cfg.detect_rel_threshold, cfg.detect_min_separation)
+    cfg, out = _setup(args)
+    dets = _detect_input(args, cfg)
     truths = read_positions_csv(args.truth)
     report = match_and_score(dets, truths, cfg.match_radius)
     dets.to_csv(out / "detections.csv")
@@ -196,15 +179,13 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_kernels(args) -> int:
-    cfg = _load_config(args)
-    out = _out_dir(args)
-    grid = cfg.sigma_grid()
-    bank = build_kernel_bank(grid, cfg.psf_sigma, cfg.quad_order)
+    cfg, out = _setup(args)
+    bank = _kernel_bank(cfg)
     for k, g in enumerate(bank.kernels, start=1):
         write_tensor(out / f"kernel_{k:02d}.idf", g)
         print(
             f"kernels: bin {k} radius {bank.radii[k - 1]} "
-            f"mass {g.sum():.9g} (target {np.sqrt(grid.widths[k - 1]):.9g})"
+            f"mass {g.sum():.9g} (target {np.sqrt(bank.grid.widths[k - 1]):.9g})"
         )
     return 0
 

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .operator import SigmaGrid, tensor_data
+from .tensorio import write_csv
 
 
 @dataclass(frozen=True)
@@ -33,10 +34,10 @@ class DetectionResult:
         return np.stack([self.rows, self.cols], axis=1) if len(self) else np.empty((0, 2), dtype=np.int64)
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("m,n,score\n")
-            for m, n, s in zip(self.rows, self.cols, self.scores):
-                fh.write(f"{int(m)},{int(n)},{float(s)!r}\n")
+        write_csv(path, (
+            "m,n,score",
+            ((int(m), int(n), float(s)) for m, n, s in zip(self.rows, self.cols, self.scores)),
+        ))
 
 
 @dataclass(frozen=True)
@@ -56,17 +57,17 @@ class MatchReport:
     pairs: np.ndarray
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("metric,value\n")
-            fh.write(f"tp,{self.tp}\n")
-            fh.write(f"fp,{self.fp}\n")
-            fh.write(f"fn,{self.fn}\n")
-            fh.write(f"precision,{self.precision!r}\n")
-            fh.write(f"recall,{self.recall!r}\n")
-            fh.write(f"f1,{self.f1!r}\n")
-            fh.write("pair_det_m,pair_det_n,pair_truth_m,pair_truth_n,pair_dist\n")
-            for dm, dn, tm, tn, dist in self.pairs:
-                fh.write(f"{int(dm)},{int(dn)},{int(tm)},{int(tn)},{float(dist)!r}\n")
+        write_csv(
+            path,
+            ("metric,value", (
+                ("tp", self.tp), ("fp", self.fp), ("fn", self.fn),
+                ("precision", self.precision), ("recall", self.recall), ("f1", self.f1),
+            )),
+            ("pair_det_m,pair_det_n,pair_truth_m,pair_truth_n,pair_dist", (
+                (int(dm), int(dn), int(tm), int(tn), float(dist))
+                for dm, dn, tm, tn, dist in self.pairs
+            )),
+        )
 
 
 def aggregate_map(a, grid: SigmaGrid) -> np.ndarray:

@@ -6,6 +6,11 @@ kernel for its bin and the results are added. This module builds those
 kernels (exact pixel integration, Gauss-Legendre averaging across each bin)
 and applies the forward map and its adjoint by FFT on a zero-padded panel.
 
+The pixel response, the numeric bedrock of the kernels, lives here with one
+implementation: ``_omega_rows`` gives it at offsets 0..r for many scales at
+once (the bank takes one row per quadrature scale), and the public ``omega``
+picks single offsets from such a row.
+
 Each kernel is a weighted sum of separable outer products of a profile that
 is even in both offsets, so the bank keeps only the factors: the scaled
 response rows of a bin's quadrature nodes at offsets 0..r. The FFT plan sums
@@ -32,9 +37,8 @@ import functools
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.special as sp
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
-
-from .mathcore import _omega_rows
 
 
 @dataclass(frozen=True)
@@ -159,6 +163,52 @@ class Observation:
         """Observation with unit weights and a full mask."""
         d = np.asarray(data, dtype=np.float64)
         return cls(d, np.ones_like(d), np.ones_like(d))
+
+
+def _psi_tail(x: np.ndarray) -> np.ndarray:
+    # phi(x) - x * Phi(-x): the curvature part of the antiderivative of the
+    # normal CDF. Using the upper-tail CDF keeps the large-|x| differences
+    # free of the catastrophic cancellation the raw x*Phi(x) + phi(x) form has.
+    return np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) - x * sp.ndtr(-x)
+
+
+def _omega_rows(sigmas: np.ndarray, r: int) -> np.ndarray:
+    """Pixel response at offsets 0..r, one row per scale in ``sigmas``.
+
+    The curvature function is evaluated once per offset, on -1..r+1, and
+    each entry combines its three neighbours as psi(m+1) - 2 psi(m) +
+    psi(m-1). Scales below 1e-12 give the discrete triangle row 1, 0, 0, ...
+    """
+    out = np.zeros((sigmas.size, r + 1))
+    out[:, 0] = 1.0
+    fine = sigmas >= 1e-12
+    if fine.any():
+        s = sigmas[fine, None]
+        p = _psi_tail(np.arange(-1.0, r + 2.0) / s)
+        out[fine] = np.maximum(s * (p[:, 2:] - 2.0 * p[:, 1:-1] + p[:, :-2]), 0.0)
+    return out
+
+
+def omega(sigma: float, m):
+    """Integral of a Gaussian of scale ``sigma`` over pixel m against pixel 0.
+
+    This is the box-box-Gaussian triple convolution evaluated at integer
+    offset m: the response of a unit pixel detector to a unit pixel source
+    spread by a Gaussian of standard deviation ``sigma`` (in pixel units).
+    At sigma = 0 it degenerates to the discrete triangle: 1 at m = 0, else 0.
+    Non-negative, even in m, and sums to 1 over all m. The response is
+    evaluated on every offset 0..max|m| and the requested ones are picked.
+    """
+    if not np.isfinite(sigma) or sigma < 0:
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    m_arr = np.atleast_1d(np.asarray(m))
+    if not np.issubdtype(m_arr.dtype, np.integer):
+        raise ValueError("pixel offset m must be integer")
+    scalar = np.isscalar(m) or np.asarray(m).ndim == 0
+    am = np.abs(m_arr.astype(np.int64))
+    row = _omega_rows(np.array([float(sigma)]), int(am.max(initial=0)))[0]
+    out = row[am]
+    return float(out[0]) if scalar else out
 
 
 def kernel_radius(sigma_hi: float, psf_sigma: float) -> int:

@@ -19,6 +19,10 @@ table (``PhiTable.rest_tables``), so that each window end costs one Poisson
 pmf recurrence per tabulation cell instead of one incomplete-gamma row per
 generation.
 
+The transport numerics live here too: ``conv_powers`` forms the generation
+densities by real FFTs padded so no sample wraps, and ``_poisson_pmf_sum``
+weights them by Poisson escape counts for the table and both window ends.
+
 The phi table depends only on the physical constants, the tabulation step
 count and the tail budget, so ``phi_general`` keeps the last table it built
 for the life of the process and returns that same object for equal
@@ -31,12 +35,13 @@ about 1 MB.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.special as sp
+from scipy.fft import irfft, next_fast_len, rfft
 
-from .mathcore import _poisson_pmf_sum, conv_powers
 from .operator import PsdrTensor, SigmaGrid
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
@@ -313,6 +318,101 @@ def _first_generation_integral(params, tau_lo, tau_hi, factor_fn) -> np.ndarray:
     dens = 2.0 * a_coef - 2.0 * b_coef * u * sp.erfcx(ka * u / np.sqrt(dif))
     vals = w * np.maximum(dens, 0.0) * factor_fn(u * u)
     return vals.reshape(*vals.shape[:-2], -1).sum(axis=-1)
+
+
+# every _PMF_RESEED-th order, _poisson_pmf_sum re-seeds the cells whose
+# pmf is still rising
+_PMF_RESEED = 8
+# Stirling series coefficients B_2n / (2n (2n - 1)), n = 1..9
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188,
+    -691 / 360360, 1 / 156, -3617 / 122400, 43867 / 244188,
+)
+
+
+def _stirling_error(k: int) -> float:
+    """lgamma(k + 1) - (k + 1/2) log k + k - log(2 pi) / 2 for k >= 8, from
+    the Stirling series; the first omitted term is below 1e-17 there."""
+    inv = 1.0 / k
+    return inv * sum(c * inv ** (2 * n) for n, c in enumerate(_STIRLING))
+
+
+def _poisson_pmf_saddle(k: int, x: np.ndarray) -> np.ndarray:
+    """Poisson pmf(k, x) for k >= 8 and x > 0 in Loader's saddle-point form
+    exp(-stirling_error(k) - bd0) / sqrt(2 pi k), where
+    bd0 = k log(k / x) + x - k. Near the mode, |k - x| < (k + x) / 10, bd0
+    is summed as a series in v = (k - x) / (k + x), so the exponent is
+    small and exact to a few ulps there, where the naive
+    k log x - x - lgamma(k + 1) loses about x * eps.
+    """
+    d = k - x
+    bd0 = k * np.log(k / x) - d
+    near = np.abs(d) < 0.1 * (k + x)
+    if near.any():
+        v = d[near] / (k + x[near])
+        series = d[near] * v
+        term = 2.0 * k * v
+        v2 = v * v
+        for j in range(1, 9):
+            term *= v2
+            series += term / (2 * j + 1)
+        bd0[near] = series
+    return np.exp(-_stirling_error(k) - bd0) / math.sqrt(2.0 * math.pi * k)
+
+
+def _poisson_pmf_sum(weights, x, k_lo: int = 0) -> np.ndarray:
+    """Weighted sum over orders of Poisson pmf values at means ``x``:
+    the sum over i of weights[i] * pmf(k_lo + i, x), broadcast against x.
+
+    The orders come from pmf(0, x) = exp(-x), one ``exp`` per cell, by the
+    recurrence pmf(k, x) = pmf(k - 1, x) * x / k: two roundings per order,
+    and no table of all orders. exp(-x) underflows for x > 745, where the
+    orders near x carry the mass, so at every order k that is a multiple of
+    ``_PMF_RESEED`` the cells with x > k, whose pmf still rises with k, are
+    seeded afresh from ``_poisson_pmf_saddle``, exact to a few ulps near the
+    mode. Before the first such order a cell with x > 708 keeps at most
+    x**7 times the smallest normal float, under 1e-279 for x < 1e4.
+    At x = 0 the k = 0 pmf is exactly 1 and every other order exactly 0.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=np.float64))
+    if not len(weights):
+        return np.zeros(np.broadcast_shapes(np.shape(weights)[1:], x.shape))
+    pmf = np.exp(-x)
+    for k in range(1, k_lo + 1):
+        pmf *= x
+        pmf /= k
+    total = weights[0] * pmf
+    for k, w in enumerate(weights[1:], start=k_lo + 1):
+        pmf *= x
+        pmf /= k
+        if k % _PMF_RESEED == 0:
+            rising = x > k
+            if rising.any():
+                pmf[rising] = _poisson_pmf_saddle(k, x[rising])
+        total += w * pmf
+    return total
+
+
+def conv_powers(values: np.ndarray, step: float, j_max: int) -> np.ndarray:
+    """The first ``j_max`` (>= 1) convolutional powers of a tabulated density.
+
+    Row j - 1 of the returned (j_max, n) table is the j-fold self-convolution
+    of the n samples ``values``, each discrete convolution scaled by the grid
+    step so the row approximates the continuous j-fold power, and clipped at
+    0. Every power is truncated to the table length n: both operands have
+    one-sided support, so the retained samples are exact. The real-FFT pad
+    covers the full linear convolution of two n-sample rows, so no sample
+    wraps. A power of a table whose first sample sits at offset h from the
+    origin has its first sample at j * h.
+    """
+    n = values.size
+    pad = next_fast_len(2 * n - 1, real=True)
+    base_hat = rfft(values, pad)
+    out = np.empty((j_max, n))
+    out[0] = values
+    for j in range(1, j_max):
+        out[j] = np.maximum(irfft(rfft(out[j - 1], pad) * base_hat, pad)[:n] * step, 0.0)
+    return out
 
 
 def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> PhiTable:

@@ -27,6 +27,7 @@ from .operator import (
     tensor_data,
     weighted_misfit,
 )
+from .tensorio import write_csv
 
 class SolverDivergenceError(RuntimeError):
     """Raised when the objective becomes non-finite; carries the trace."""
@@ -92,14 +93,14 @@ class SolveTrace:
         return self.stop_reason in ("fixed_point", "gap")
 
     def to_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write("iter,cost,data,reg,step,restart\n")
-            step = f"{float(self.step)!r}"
-            for i in range(self.iterations):
-                fh.write(
-                    f"{i + 1},{float(self.costs[i])!r},{float(self.data_terms[i])!r},"
-                    f"{float(self.reg_terms[i])!r},{step},{int(self.restarts[i])}\n"
-                )
+        columns = zip(self.costs, self.data_terms, self.reg_terms, self.restarts)
+        write_csv(path, (
+            "iter,cost,data,reg,step,restart",
+            (
+                (i, float(c), float(d), float(r), float(self.step), int(restart))
+                for i, (c, d, r, restart) in enumerate(columns, start=1)
+            ),
+        ))
 
 
 def group_norm_sum(a, support_mask: np.ndarray) -> float:

@@ -4,8 +4,14 @@ Tensor files (.idf) are a fixed little-endian layout: magic ``IDF1``, a
 uint32 rank, one uint32 per dimension, then the float64 payload in C order.
 Preview images are binary 16-bit PGM (big-endian sample order, as PGM
 requires) normalized to the image peak, with the physical value of one gray
-level recorded in a ``<name>.scale.txt`` sidecar. All writers produce
-byte-identical output for identical input.
+level recorded in a ``<name>.scale.txt`` sidecar.
+
+Every CSV table the program writes (truth, solve trace, detections,
+metrics) goes through ``write_csv``, which owns the format: UTF-8, ``"\\n"``
+line ends, a header line per section, integers in decimal and every other
+number as the ``repr`` of a Python float, so NumPy scalars never print as
+``np.float64(...)``. All writers produce byte-identical output for
+identical input.
 """
 
 from __future__ import annotations
@@ -104,15 +110,37 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
     return data.astype(np.float64) * scale, scale
 
 
+def _csv_cell(x) -> str:
+    if isinstance(x, str):
+        return x
+    if isinstance(x, (int, np.integer)):
+        return str(int(x))
+    return repr(float(x))
+
+
+def write_csv(path, *sections) -> None:
+    """Write one CSV file from ``(header, rows)`` sections, in order.
+
+    Each section is its header line followed by one line per row. A cell
+    that is a string is written as is, a Python or NumPy integer in
+    decimal, and anything else as ``repr(float(x))``.
+    """
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        for header, rows in sections:
+            fh.write(header + "\n")
+            for row in rows:
+                fh.write(",".join(map(_csv_cell, row)) + "\n")
+
+
 def write_truth_csv(path, sources) -> None:
     """Write emitter ground truth (one row per source)."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("m,n,rate,t_start,t_stop\n")
-        for s in sources:
-            fh.write(
-                f"{int(s.m)},{int(s.n)},{float(s.rate)!r},"
-                f"{float(s.t_start)!r},{float(s.t_stop)!r}\n"
-            )
+    write_csv(path, (
+        "m,n,rate,t_start,t_stop",
+        (
+            (int(s.m), int(s.n), float(s.rate), float(s.t_start), float(s.t_stop))
+            for s in sources
+        ),
+    ))
 
 
 def _is_number(text: str) -> bool:

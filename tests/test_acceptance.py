@@ -33,9 +33,8 @@ from invdiff import (
     prox_group_nonneg,
 )
 from invdiff.cli import main
-from invdiff.mathcore import conv_powers
 from invdiff.operator import _cached_bank
-from invdiff.physics import _cached_phi
+from invdiff.physics import _cached_phi, conv_powers
 from invdiff.tensorio import read_positions_csv, read_tensor
 from grad_oracle import grad_data
 from pde_oracle import pde_oracle

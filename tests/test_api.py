@@ -1,9 +1,12 @@
 """The package API: ``invdiff.__all__`` is exactly what the package binds.
 
-The README promises a docstring on every exported function and class.
+The README promises a docstring on every exported function and class, and
+no module reaches into another's private names.
 """
 
+import ast
 import inspect
+from pathlib import Path
 
 import invdiff
 
@@ -42,3 +45,21 @@ def test_exported_functions_and_classes_have_docstrings():
         if not _own_docstring(name, obj)
     ]
     assert not missing, missing
+
+
+def _private_imports(path: Path):
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.level == 0 and not (node.module or "").startswith("invdiff"):
+            continue
+        for alias in node.names:
+            name = alias.name
+            if name.startswith("_") and not (name.startswith("__") and name.endswith("__")):
+                yield f"{path.name}:{node.lineno} imports {name}"
+
+
+def test_no_module_imports_another_modules_private_names():
+    package = Path(invdiff.__file__).parent
+    found = [hit for path in sorted(package.glob("*.py")) for hit in _private_imports(path)]
+    assert not found, found

@@ -386,6 +386,17 @@ class TestMainPlumbing:
         err = capsys.readouterr().err
         assert "error:" in err and "expected an integer" in err
 
+    @pytest.mark.parametrize("sep", ["nan", "inf", "-1"])
+    def test_bad_source_min_separation_rejected_up_front(self, sep, tmp_path, capsys):
+        # a non-finite separation used to spend 10000 placement attempts per
+        # emitter before failing; a negative one placed emitters anywhere
+        bad = tmp_path / "sep.cfg"
+        bad.write_text(SMALL_CFG.replace("source_min_separation = 8", f"source_min_separation = {sep}"))
+        rc = main(["synth", "--config", str(bad), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "source_min_separation" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "psdr.idf").exists()
+
     def test_defaults_used_without_config(self, tmp_path):
         # kernels works with the built-in defaults (no --config)
         rc = main(["kernels", "--out", str(tmp_path / "defk")])

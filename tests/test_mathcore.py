@@ -9,7 +9,8 @@ import pytest
 from scipy import stats
 from scipy.special import erfcx
 
-from invdiff.mathcore import _poisson_pmf_sum, _psi_tail, conv_powers, omega
+from invdiff.operator import _psi_tail, omega
+from invdiff.physics import _poisson_pmf_sum, conv_powers
 
 
 class TestErfcx:
