@@ -41,6 +41,19 @@ import scipy.special as sp
 from scipy.fft import fft, ifft, irfft, next_fast_len, rfft
 
 
+def check_count(name: str, value, lo: int) -> int:
+    """``value`` as an int, if it is a whole number (NumPy integers and
+    integral floats included) of at least ``lo``; otherwise a ValueError
+    that names the argument."""
+    try:
+        whole = int(value)
+    except (TypeError, ValueError, OverflowError):
+        whole = None
+    if whole is None or whole != value or whole < lo:
+        raise ValueError(f"{name} must be an integer >= {lo}, got {value!r}")
+    return whole
+
+
 @dataclass(frozen=True)
 class SigmaGrid:
     """Scale-bin boundaries (pixel units) plus the signal support set.
@@ -310,9 +323,7 @@ def build_kernel_bank(
     """
     if not (np.isfinite(psf_sigma) and psf_sigma >= 0):
         raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
-    if quad_order < 1:
-        raise ValueError(f"quad_order must be >= 1, got {quad_order}")
-    return _cached_bank(grid, float(psf_sigma), int(quad_order))
+    return _cached_bank(grid, float(psf_sigma), check_count("quad_order", quad_order, 1))
 
 
 # banks kept per process: a run uses one configuration at a time
@@ -425,8 +436,7 @@ def op_norm_estimate(obs: Observation, bank: KernelBank, iters: int = 60) -> flo
     the operator is zero and 0.0 is returned exactly; a bound near 1e-16
     would make the step absurdly long.
     """
-    if iters < 1:
-        raise ValueError(f"iters must be >= 1, got {iters}")
+    iters = check_count("iters", iters, 1)
     # summed-area table of the mask: masked pixels in each weighted pixel's
     # (2r + 1)-square reach
     r, (m, n) = max(bank.radii), obs.mask.shape

@@ -14,22 +14,25 @@ blob of that width to the bound-particle image.
 Synthesis integrates each emitter's Poisson mixture of capture/escape rounds
 over its emission window. The first generation of every emitter comes from
 one Gauss-Legendre broadcast per distinct panel count. The later
-generations come from cumulative generation densities, formed once per
-table (``PhiTable.rest_tables``), so that each window end costs one Poisson
-pmf recurrence per tabulation cell instead of one incomplete-gamma row per
+generations form a rest profile in one non-negative sum per cell: past the
+window's kink, from cumulative generation densities formed once per table
+(``PhiTable.rest_tables``); before it, from the window's escape-count
+increments, which are the same on every such cell. Either way a cell costs
+one Poisson pmf recurrence instead of one incomplete-gamma row per
 generation.
 
 The transport numerics live here too: ``conv_powers`` forms the generation
 densities by real FFTs padded so no sample wraps, and ``_poisson_pmf_sum``
-weights them by Poisson escape counts for the table and both window ends.
+weights them by Poisson escape counts for the table, its mass and the rest
+profile.
 
 The phi table depends only on the physical constants, the tabulation step
 count and the tail budget, so ``phi_general`` keeps the last table it built
 for the life of the process and returns that same object for equal
 arguments, with the cumulative densities it has formed. All of these arrays
 are read-only. On 4096 cells the table holds 0.1 MB without escape; at
-kappa_d * H = 3.6 (nine generations) the table and its rest tables hold
-about 1 MB.
+kappa_d * H = 3.6 (nine generations) the table and its cumulative densities
+hold 0.6 MB.
 """
 
 from __future__ import annotations
@@ -42,7 +45,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .operator import PsdrTensor, SigmaGrid
+from .operator import PsdrTensor, SigmaGrid, check_count
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -236,37 +239,26 @@ class PhiTable:
         This equals the expected bound fraction at the horizon for a single
         particle released at time zero. The first-generation part is
         integrated in closed quadrature (it is singular at zero); the
-        remaining generations are smooth and summed at cell midpoints.
+        remaining generations are smooth and their Poisson-weighted sum,
+        whose terms are all non-negative, is summed at cell midpoints.
         """
         p = self.params
         first = _first_generation_integral(
             p, 0.0, p.horizon, lambda tau: np.exp(-p.kappa_d * (p.horizon - tau))
         )
-        pois0 = np.exp(-p.kappa_d * (p.horizon - self.tau_grid))
-        rest = self.values - self.powers[0] * pois0
-        return float(first + self.step * np.maximum(rest, 0.0).sum())
+        x = p.kappa_d * (p.horizon - self.tau_grid)
+        rest = _poisson_pmf_sum(self.powers[1:], x, k_lo=1)
+        return float(first + self.step * rest.sum())
 
     @functools.cached_property
-    def rest_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per-cell tables of the rest profile, formed once per table.
-
-        With f_j = powers[j - 1] the j-generation density (j = 2..J):
-        ``lower`` holds F_k = f_2 + ... + f_k for k = 2..J, one row each;
-        ``upper`` holds G_k = the sum of f_j over j >= max(2, k + 1) for
-        k = 0..J-1; ``switch`` is, per cell, the smallest k with
-        F_k >= F_J / 2, made non-decreasing along the cells. The lower sum
-        S(x) of ``_rest_sum`` passes about half of F_J near x = switch. All
-        three are read-only. They exist only for tables with J >= 2.
+    def rest_tables(self) -> np.ndarray:
+        """The cumulative generation densities F_k = f_2 + ... + f_k for
+        k = 2..J, one row each, with f_j = powers[j - 1]; formed once per
+        table, read-only, and without rows for a single-generation table.
         """
-        gens = self.powers[1:]
-        lower = np.cumsum(gens, axis=0)
-        tails = np.cumsum(gens[::-1], axis=0)[::-1]
-        upper = np.concatenate((tails[:1], tails))
-        half = np.count_nonzero(lower < 0.5 * lower[-1], axis=0)
-        switch = np.maximum.accumulate(half + 2.0)
-        for arr in (lower, upper, switch):
-            arr.setflags(write=False)
-        return lower, upper, switch
+        cumulative = np.cumsum(self.powers[1:], axis=0)
+        cumulative.setflags(write=False)
+        return cumulative
 
 
 def _gl_panels(lo, hi, n_pan):
@@ -426,11 +418,10 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     drops below eps. With kappa_d == 0 the table equals the
     single-generation density sampled at cell midpoints, exactly.
     """
-    if tau_steps < 16:
-        raise ValueError(f"tau_steps must be >= 16, got {tau_steps}")
+    tau_steps = check_count("tau_steps", tau_steps, 16)
     if not (np.isfinite(eps) and eps > 0):
         raise ValueError(f"eps must be finite and > 0, got {eps}")
-    return _cached_phi(params, int(tau_steps), float(eps))
+    return _cached_phi(params, tau_steps, float(eps))
 
 
 # phi tables kept per process: a run uses one configuration at a time
@@ -481,11 +472,11 @@ def _cell_averaged_density(params, tau_steps, step, base_vals):
     return vals
 
 
-def _rest_sum(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
+def _rest_sum(cumulative: np.ndarray, x: np.ndarray) -> np.ndarray:
     """S(x) = sum over j = 2..J of f_j * P(j, x) on the cells of ``x``.
 
     P(j, x) = gammainc(j, x) is the probability that a Poisson count of
-    mean x reaches j, and ``lower`` holds the cumulative densities
+    mean x reaches j, and ``cumulative`` holds the cumulative densities
     F_k = f_2 + ... + f_k for k = 2..J (``PhiTable.rest_tables``). Since
     P(j, x) = P(J, x) plus pmf(k, x) summed over k = j..J-1, swapping the
     two sums gives S(x) = P(J, x) * F_J plus pmf(k, x) * F_k summed over
@@ -494,9 +485,9 @@ def _rest_sum(lower: np.ndarray, x: np.ndarray) -> np.ndarray:
     the relative accuracy of its terms, and S(0) = 0 exactly. With no rows
     (J = 1) the sum is empty and S = 0.
     """
-    total = _poisson_pmf_sum(lower[:-1], x, k_lo=2)
-    if len(lower):
-        total += sp.gammainc(len(lower) + 1, x) * lower[-1]
+    total = _poisson_pmf_sum(cumulative[:-1], x, k_lo=2)
+    if len(cumulative):
+        total += sp.gammainc(len(cumulative) + 1, x) * cumulative[-1]
     return total
 
 
@@ -509,37 +500,43 @@ def _window_rest_profile(
     For each tabulated free-motion time tau, integrates the probability
     that a particle emitted during [t_start, t_stop] has completed exactly
     j rounds (j >= 2) by the horizon, weighted by the j-generation delay
-    density, over the emission window. The escape-count factor integrates
-    in closed form to a difference of regularized incomplete gamma
-    functions at the window ends x_hi = kappa_d * (H - t_start - tau) and
-    x_lo = kappa_d * (H - t_stop - tau), so the profile is
-    (S(x_hi) - S(x_lo)) / kappa_d, clipped at 0, with S from ``_rest_sum``.
-    Where x_lo reaches the cell's ``switch`` (``PhiTable.rest_tables``), S
-    is close to F_J at both ends and their difference would cancel; there
-    the profile is the equal (T(x_lo) - T(x_hi)) / kappa_d of the upper
-    sums T(x) = F_J - S(x), the sum over k = 0..J-1 of pmf(k, x) * G_k,
-    which are small. Those cells are a leading run, as are the cells with
-    x_lo > 0; past them S(x_lo) = 0 and is not evaluated, and the cells
-    past ``n_cells``, which the caller found to carry no weight, are not
-    either. A single-generation table has no rest profile.
+    density f_j, over the emission window. The escape-count factor
+    integrates in closed form to P(j, x_hi) - P(j, x_lo), the regularized
+    incomplete gamma function at the window ends
+    x_hi = kappa_d * (H - t_start - tau) and x_lo = kappa_d * (H - t_stop - tau),
+    divided by kappa_d. Every term of both forms below is non-negative.
+
+    Past the kink, x_lo <= 0, the profile is S(x_hi) / kappa_d with S from
+    ``_rest_sum``. Before it, the cells are a leading run with
+    x_hi = x_lo + D, where D = kappa_d * (t_stop - t_start) is the same on
+    every cell, and a Poisson count of mean x_hi is one of mean x_lo plus
+    an independent one of mean D. So
+    P(j, x_hi) - P(j, x_lo) = sum over m < j of pmf(m, x_lo) * P(j - m, D),
+    and the profile is the sum over m = 0..J-1 of pmf(m, x_lo) * Q_m /
+    kappa_d, with Q_m = sum over j >= max(2, m + 1) of f_j * P(j - m, D):
+    one contraction of the J x (J - 1) Toeplitz matrix of P(i, D) with the
+    densities, then one pmf recurrence per cell. The cells past
+    ``n_cells``, which the caller found to carry no weight, are not
+    evaluated. A single-generation table has no rest profile.
     """
-    lower, upper, switch = phi.rest_tables
     p = phi.params
     kd = p.kappa_d
     tau = phi.tau_grid[:n_cells]
-    x_hi = np.maximum(kd * ((p.horizon - t_start) - tau), 0.0)
     x_lo = kd * ((p.horizon - t_stop) - tau)
-    n_up = int(np.count_nonzero(x_lo >= switch[:n_cells]))
     n_lo = int(np.count_nonzero(x_lo > 0.0))
     win = np.empty(n_cells)
-    if n_up:
-        up = upper[:, :n_up]
-        win[:n_up] = _poisson_pmf_sum(up, x_lo[:n_up]) - _poisson_pmf_sum(up, x_hi[:n_up])
-    win[n_up:] = _rest_sum(lower[:, n_up:n_cells], x_hi[n_up:])
-    if n_lo > n_up:
-        win[n_up:n_lo] -= _rest_sum(lower[:, n_up:n_lo], x_lo[n_up:n_lo])
+    if n_lo:
+        j_max = phi.n_generations
+        orders = np.arange(1, j_max + 1)
+        # rise[i] = P(i, D) for i = 1..J; rise[0] = 0 fills the lower triangle
+        rise = np.concatenate(([0.0], sp.gammainc(orders, kd * (t_stop - t_start))))
+        toeplitz = rise[np.maximum(orders[1:] - orders[:, None] + 1, 0)]
+        q = np.einsum("mj,jc->mc", toeplitz, phi.powers[1:, :n_lo])
+        win[:n_lo] = _poisson_pmf_sum(q, x_lo[:n_lo])
+    x_hi = np.maximum(kd * ((p.horizon - t_start) - tau[n_lo:]), 0.0)
+    win[n_lo:] = _rest_sum(phi.rest_tables[:, n_lo:n_cells], x_hi)
     win /= kd
-    return np.maximum(win, 0.0, out=win)
+    return win
 
 
 def _first_generation_window(phi: PhiTable, tau_bounds, t_start, t_stop) -> np.ndarray:
@@ -606,12 +603,12 @@ def synth_psdr(
     emitter's rest profile, taken on the cells whose left edge lies below
     min(tau_K, H - t_start): cells above the top band edge tau_K have zero
     overlap, and cells past H - t_start hold no free time this emitter's
-    particles can reach. The rest profile's sum over generations is
-    swapped with its sum over escape counts, through cumulative generation
-    densities formed once per table (``PhiTable.rest_tables``): each window
-    end costs one pmf recurrence per cell, plus one ``gammainc`` where the
-    lower sums are taken, and the lower end is evaluated only on the cells
-    below H - t_stop. Contributions are additive across emitters and linear in
+    particles can reach. The rest profile (``_window_rest_profile``) costs
+    one pmf recurrence per cell, with its sum over generations swapped with
+    its sum over escape counts: below H - t_stop through the emitter's
+    window increments, above it through cumulative generation densities
+    formed once per table (``PhiTable.rest_tables``), plus one ``gammainc``
+    per cell. Contributions are additive across emitters and linear in
     emission rate.
     """
     m_rows, n_cols = int(shape[0]), int(shape[1])

@@ -22,6 +22,7 @@ from .operator import (
     Observation,
     PsdrTensor,
     adjoint,
+    check_count,
     forward,
     op_norm_estimate,
     tensor_data,
@@ -55,12 +56,10 @@ class SolverConfig:
     def __post_init__(self):
         if not (np.isfinite(self.lam) and self.lam >= 0):
             raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not (np.isfinite(self.gap_tol) and self.gap_tol >= 0):
             raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol}")
-        if self.power_iters < 1:
-            raise ValueError(f"power_iters must be >= 1, got {self.power_iters}")
+        for name in ("max_iters", "power_iters"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
 
 
 @dataclass

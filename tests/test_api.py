@@ -8,6 +8,9 @@ import ast
 import inspect
 from pathlib import Path
 
+import numpy as np
+import pytest
+
 import invdiff
 
 
@@ -63,3 +66,30 @@ def test_no_module_imports_another_modules_private_names():
     package = Path(invdiff.__file__).parent
     found = [hit for path in sorted(package.glob("*.py")) for hit in _private_imports(path)]
     assert not found, found
+
+
+_GRID = invdiff.SigmaGrid(boundaries=(0.0, 2.0, 4.0), support_set=(1, 2))
+_COUNTS = {
+    "max_iters": (1, lambda v: invdiff.SolverConfig(lam=0.1, max_iters=v)),
+    "power_iters": (1, lambda v: invdiff.SolverConfig(lam=0.1, power_iters=v)),
+    "iters": (1, lambda v: invdiff.op_norm_estimate(
+        invdiff.Observation.plain(np.zeros((8, 8))), invdiff.build_kernel_bank(_GRID), v
+    )),
+    "quad_order": (1, lambda v: invdiff.build_kernel_bank(_GRID, quad_order=v)),
+    "tau_steps": (16, lambda v: invdiff.phi_general(
+        invdiff.PhysicalParams(1e-6, 1e-3, 1e-10, 3600.0, 1e-5), v
+    )),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_COUNTS))
+def test_count_arguments_reject_non_integral_values(name):
+    # a fraction was truncated (quad_order, tau_steps) or reached range()
+    # as a TypeError (max_iters, power_iters, iters); NumPy integers stay
+    # accepted
+    lo, make = _COUNTS[name]
+    for bad in (lo + 1.5, lo + 0.9, np.nan, np.inf, "20"):
+        with pytest.raises(ValueError, match=name):
+            make(bad)
+    make(np.int64(lo))
+    make(float(lo + 1))

@@ -3,16 +3,13 @@
 Three physics setups, shrunk to 48 x 48 scenes with a short solve, run
 through the command line; every output file is compared with arrays frozen
 under ``tests/data/golden/`` at a relative tolerance of 1e-12 of the
-array's peak (of each column's peak for the CSV tables). The failure
-message also says which files are still byte-identical to the frozen run
-(their SHA-256 digests are stored too).
+array's peak (of each column's peak for the CSV tables).
 
 A change that is meant to move output values regenerates the data with
 ``PYTHONPATH=src python tests/test_golden.py`` and shows the new files in its
 diff.
 """
 
-import hashlib
 import tempfile
 from pathlib import Path
 
@@ -57,14 +54,13 @@ sources = 14:14:1.0:0:3600; 14:33:1.0:300:2900; 33:14:1.0:1200:3600; 33:33:1.0:5
 }
 
 
-def _run(config_text: str, out: Path) -> dict:
+def _run(config_text: str, out: Path) -> None:
     out.mkdir(parents=True, exist_ok=True)
     cfg = out / "run.cfg"
     cfg.write_text(config_text)
     assert main(["synth", "--config", str(cfg), "--out", str(out)]) == 0
     solve = ["solve", "--config", str(cfg), "--input", str(out / "sensed.idf"), "--out", str(out)]
     assert main(solve) == 0
-    return {name: (out / name).read_bytes() for name in FILES}
 
 
 def _values(name: str, path: Path) -> np.ndarray:
@@ -73,18 +69,10 @@ def _values(name: str, path: Path) -> np.ndarray:
     return np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
 
 
-def _digest(raw: bytes) -> str:
-    return hashlib.sha256(raw).hexdigest()
-
-
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_outputs_match_golden(case, tmp_path):
-    raw = _run(CASES[case], tmp_path)
+    _run(CASES[case], tmp_path)
     golden = np.load(DATA / f"{case}.npz")
-    same_bytes = [
-        name for name, digest in zip(FILES, golden["sha256"]) if _digest(raw[name]) == digest
-    ]
-    bytes_note = f"byte-identical: {len(same_bytes)}/{len(FILES)} files {same_bytes}"
     for name in FILES:
         got = _values(name, tmp_path / name)
         want = golden[name]
@@ -93,17 +81,16 @@ def test_outputs_match_golden(case, tmp_path):
         peak = np.abs(want).max(axis=axis)
         err = np.abs(got - want).max(axis=axis)
         assert (err <= REL_TOL * peak).all(), (
-            f"{case} {name}: max |diff| {err} exceeds {REL_TOL:g} of peak {peak}; " + bytes_note
+            f"{case} {name}: max |diff| {err} exceeds {REL_TOL:g} of peak {peak}"
         )
 
 
-def _write_golden(scratch: Path) -> None:
+def _write_golden(work: Path) -> None:
     DATA.mkdir(parents=True, exist_ok=True)
     for case, text in CASES.items():
-        raw = _run(text, scratch / case)
-        arrays = {name: _values(name, scratch / case / name) for name in FILES}
-        digests = np.array([_digest(raw[name]) for name in FILES])
-        np.savez_compressed(DATA / f"{case}.npz", sha256=digests, **arrays)
+        _run(text, work / case)
+        arrays = {name: _values(name, work / case / name) for name in FILES}
+        np.savez_compressed(DATA / f"{case}.npz", **arrays)
 
 
 if __name__ == "__main__":

@@ -368,10 +368,10 @@ class TestPhiCache:
 
     def test_shared_arrays_are_read_only(self):
         phi = phi_general(**self.BASE)
-        arrays = (phi.tau_grid, phi.values, phi.powers, *phi.rest_tables)
+        arrays = (phi.tau_grid, phi.values, phi.powers, phi.rest_tables)
         assert not any(a.flags.writeable for a in arrays)
         with pytest.raises(ValueError, match="read-only"):
-            phi.rest_tables[0][0, 0] = 0.0
+            phi.rest_tables[0, 0] = 0.0
 
     @pytest.mark.parametrize(
         "kwargs, match",
@@ -486,18 +486,18 @@ class TestWindowRestProfile:
         # kappa_d * H = 3.6 is the dataset-generation physics; at 1000 the
         # small grid has x > 745 on most cells, where exp(-x) underflows.
         # Windows ending at H have an empty low end; the ones that stop
-        # early reach the upper sums on their leading cells at 50 and 1000.
-        # Errors against the reference are at most 3.1e-15 of the peak.
+        # early take the window-increment form on their leading cells, where
+        # x_lo > 0. Errors against the reference are at most 2.1e-15 of the
+        # peak.
         p = params(kappa_d=kd_h / T)
         phi = phi_general(p, tau_steps=tau_steps)
         assert phi.n_generations > 1
-        tables = phi.rest_tables
         n_all = phi.tau_grid.size
         windows = [(0.0, T), (300.0, T), (300.0, 2900.0), (1200.0, 1800.0), (3500.0, 3580.0)]
-        upper_cells = 0
+        increment_cells = 0
         for t0, t1 in windows:
             x_lo = p.kappa_d * ((T - t1) - phi.tau_grid)
-            upper_cells += int(np.count_nonzero(x_lo >= tables[2]))
+            increment_cells += int(np.count_nonzero(x_lo > 0.0))
             want = self._per_generation(phi, t0, t1, n_all)
             for n_cells in (n_all, n_all // 3):
                 with warnings.catch_warnings():
@@ -507,22 +507,58 @@ class TestWindowRestProfile:
                     got, want[:n_cells], rtol=0.0, atol=1e-14 * want.max(),
                     err_msg=f"{kd_h=} {t0=} {t1=} {n_cells=}",
                 )
-        assert (upper_cells > 0) == (kd_h > 3.6)
+        assert increment_cells > 0
         x_hi = p.kappa_d * (T - phi.tau_grid)
         assert (x_hi > 745.0).any() == (kd_h > 745.0)
+
+    @pytest.mark.parametrize(
+        "kd_h, tau_steps, window, cells, want",
+        [
+            pytest.param(3.6, 4096, (2000.0, 2010.0), [0, 1, 273, 728, 1183, 1638, 1819], [
+                0.037943213045535586, 0.033376083540938066, 0.004979932707025235,
+                0.0016168124296428324, 0.0006070653349886523, 0.00012668688018515747,
+                2.5733371029369606e-08,
+            ], id="3.6-10s"),
+            pytest.param(3.6, 4096, (1200.0, 1800.0), [0, 25, 409, 1092, 1775, 2457, 2730], [
+                1.8554046964000757, 0.9396749224792765, 0.22986210497029014,
+                0.06820033735749725, 0.020873017303766835, 0.0013602506530014265,
+                4.5896516877651174e-10,
+            ], id="3.6-600s"),
+            pytest.param(50.0, 1024, (2000.0, 2010.0), [68, 182, 295, 316, 346, 409, 454], [
+                1.1648136136289173e-05, 0.0003425998380286652, 0.0012503031835265524,
+                0.0013732860202329419, 0.0014459581031829281, 0.001026458934224567,
+                2.382278750994189e-06,
+            ], id="50-10s"),
+            pytest.param(50.0, 1024, (1200.0, 1800.0), [102, 273, 386, 443, 459, 520, 614, 682], [
+                0.0002071306040056081, 0.015530515415557796, 0.048402796966937736,
+                0.0598284366470762, 0.060549951829346874, 0.047367504144071135,
+                0.011776319802207164, 1.0186211220790917e-07,
+            ], id="50-600s"),
+        ],
+    )
+    def test_short_window_against_reference(self, kd_h, tau_steps, window, cells, want):
+        # want: the sum over j = 2..J of f_j * (P(j, x_hi) - P(j, x_lo)) /
+        # kappa_d with the table's own densities f_j, each P difference an
+        # mpmath integral over [x_lo, x_hi] at 50 digits (80 digits agree).
+        # The cells hold each profile's peak, its last cell with free time
+        # (past the kink H - t_stop), cells spread between, and the cell
+        # where a difference of window-end sums S(x_hi) - S(x_lo) was
+        # furthest off: 6.5e-14 and 2.8e-14 of the peak on the 10-s
+        # window. The increment form is at most 9.0e-16 off on every cell.
+        phi = phi_general(params(kappa_d=kd_h / T), tau_steps=tau_steps)
+        got = _window_rest_profile(phi, *window, tau_steps)[cells]
+        want = np.array(want)
+        assert np.abs(got - want).max() <= 1e-15 * want.max()
 
     def test_tables(self):
         p = params(kappa_d=50.0 / T)
         phi = phi_general(p, tau_steps=256)
-        lower, upper, switch = phi.rest_tables
+        cumulative = phi.rest_tables
         gens = phi.powers[1:]
         j_max = phi.n_generations
-        assert lower.shape == (j_max - 1, 256) and upper.shape == (j_max, 256)
+        assert cumulative.shape == (j_max - 1, 256)
         for k in range(2, j_max + 1):
-            np.testing.assert_allclose(lower[k - 2], gens[: k - 1].sum(axis=0), rtol=1e-14)
-        for k in range(j_max):
-            np.testing.assert_allclose(upper[k], gens[max(k - 1, 0):].sum(axis=0), rtol=1e-14)
-        assert (np.diff(switch) >= 0).all() and switch.min() >= 2
+            np.testing.assert_allclose(cumulative[k - 2], gens[: k - 1].sum(axis=0), rtol=1e-14)
 
 
 class TestGlPanels:
