@@ -20,9 +20,9 @@ import numpy as np
 from . import __version__
 from .config import RunConfig, default_config, parse_config
 from .detect import DetectionResult, aggregate_map, find_sources, match_and_score
-from .operator import KernelBank, Observation, build_kernel_bank, forward
+from .operator import KernelBank, Observation, build_kernel_bank, check_count, check_real, forward
 from .physics import Source, phi_general, sensor_model, synth_psdr
-from .solver import fista_solve
+from .solver import SolverDivergenceError, fista_solve
 from .tensorio import (
     read_positions_csv,
     read_tensor,
@@ -55,25 +55,22 @@ def _kernel_bank(cfg: RunConfig) -> KernelBank:
 
 def _place_sources(cfg: RunConfig, rng: np.random.Generator) -> list[Source]:
     rows, cols = cfg.shape
-    margin = cfg.border_margin
+    margin = check_count("border_margin", cfg.border_margin, 0)
     lo_m, hi_m = margin, rows - 1 - margin
     lo_n, hi_n = margin, cols - 1 - margin
     if lo_m > hi_m or lo_n > hi_n:
         raise ValueError(
             f"border_margin {margin} leaves no room on a {rows} x {cols} image"
         )
-    if cfg.num_sources < 0:
-        raise ValueError(f"num_sources must be >= 0, got {cfg.num_sources}")
-    sep = cfg.source_min_separation
-    if not (np.isfinite(sep) and sep >= 0):
-        raise ValueError(f"source_min_separation must be finite and >= 0, got {sep}")
+    num_sources = check_count("num_sources", cfg.num_sources, 0)
+    sep = check_real("source_min_separation", cfg.source_min_separation, 0.0)
     t0, t1 = cfg.source_t_start, cfg.effective_t_stop()
     placed: list[Source] = []
     attempts = 0
-    while len(placed) < cfg.num_sources:
-        if attempts >= _PLACEMENT_ATTEMPTS * max(cfg.num_sources, 1):
+    while len(placed) < num_sources:
+        if attempts >= _PLACEMENT_ATTEMPTS * max(num_sources, 1):
             raise ValueError(
-                f"could not place {cfg.num_sources} emitters at least "
+                f"could not place {num_sources} emitters at least "
                 f"{sep} px apart inside the margins"
             )
         attempts += 1
@@ -241,7 +238,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, SolverDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

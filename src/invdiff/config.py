@@ -12,7 +12,7 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .operator import SigmaGrid
+from .operator import SigmaGrid, check_count
 from .physics import PhysicalParams, Source
 from .solver import SolverConfig
 
@@ -84,9 +84,7 @@ class RunConfig:
 
     @property
     def shape(self) -> tuple[int, int]:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"rows/cols must be positive, got {self.rows} x {self.cols}")
-        return (self.rows, self.cols)
+        return (check_count("rows", self.rows, 1), check_count("cols", self.cols, 1))
 
     def physical_params(self) -> PhysicalParams:
         return PhysicalParams(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .operator import SigmaGrid, tensor_data
+from .operator import SigmaGrid, check_real, tensor_data
 from .tensorio import write_csv
 
 
@@ -99,15 +99,13 @@ def find_sources(
     candidate within Chebyshev distance min_separation of an already kept
     one is suppressed. An all-zero map yields no detections.
     """
-    img = np.asarray(activity, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"activity map must be 2D, got shape {img.shape}")
-    if not np.isfinite(img).all():
-        raise ValueError("activity map must be finite")
-    if not (0.0 <= rel_threshold <= 1.0):
+    img = check_real("activity", activity)
+    if np.ndim(img) != 2:
+        raise ValueError(f"activity map must be 2D, got shape {np.shape(img)}")
+    rel_threshold = check_real("rel_threshold", rel_threshold, 0.0)
+    if rel_threshold > 1.0:
         raise ValueError(f"rel_threshold must be in [0, 1], got {rel_threshold}")
-    if min_separation < 0:
-        raise ValueError(f"min_separation must be >= 0, got {min_separation}")
+    min_separation = check_real("min_separation", min_separation, 0.0)
     peak = img.max(initial=0.0)
     empty = DetectionResult(
         rows=np.empty(0, dtype=np.int64),
@@ -159,15 +157,12 @@ def match_and_score(
     Non-finite truth coordinates are rejected: a NaN distance would claim a
     detection ahead of a true source at distance 0.
     """
-    if not (np.isfinite(radius) and radius >= 0):
-        raise ValueError(f"radius must be finite and >= 0, got {radius}")
-    t = np.asarray(truths, dtype=np.float64)
+    radius = check_real("radius", radius, 0.0)
+    t = np.atleast_1d(check_real("truths", truths))
     if t.size == 0:
         t = np.empty((0, 2))
     if t.ndim != 2 or t.shape[1] != 2:
         raise ValueError(f"truths must be (count, 2), got shape {t.shape}")
-    if not np.isfinite(t).all():
-        raise ValueError("truth coordinates must be finite")
     n_det = len(detections)
     n_tru = t.shape[0]
     taken = np.zeros(n_tru, dtype=bool)

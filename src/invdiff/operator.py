@@ -29,6 +29,11 @@ FFT plans the bank has cached per image shape. Everything the bank hands
 out is read-only: the rows, the kernels and every plan spectrum. The
 default 128 x 128 configuration keeps about 2 MB this way: 0.18 MB of rows
 and 1.85 MB of plan spectra. Nothing keyed on an observation is kept.
+
+The package's two argument checks live here as well: ``check_count`` for
+whole numbers and ``check_real`` for real numbers and arrays of them. Every
+module passes its numeric arguments through them, so a bad value raises one
+kind of ValueError, which names the argument.
 """
 
 from __future__ import annotations
@@ -54,6 +59,32 @@ def check_count(name: str, value, lo: int) -> int:
     return whole
 
 
+def check_real(name: str, value, lo: float = -np.inf, strict: bool = False) -> float | np.ndarray:
+    """``value`` as a float, or as a float64 array if it is array-like, if
+    every entry is a finite number of at least ``lo`` (above ``lo`` if
+    ``strict``); otherwise a ValueError that names the argument. Strings,
+    None and objects that NumPy holds only as objects are not numbers."""
+    try:
+        arr = np.asarray(value)
+    except (TypeError, ValueError):
+        arr = np.asarray(None)
+    if arr.dtype.kind in "biuf":
+        arr = arr.astype(np.float64, copy=False)
+        # the extremes decide, in one pass each; a NaN fails every comparison
+        if arr.ndim == 0:
+            low = high = float(arr)
+        else:
+            low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
+        if -np.inf < low and high < np.inf and (low > lo if strict else low >= lo):
+            return low if arr.ndim == 0 else arr
+    if lo == 0.0:
+        bound = " and positive" if strict else " and non-negative"
+    else:
+        bound = "" if lo == -np.inf else f" and {'>' if strict else '>='} {lo:g}"
+    got = f", got {value!r}" if arr.ndim == 0 else ""
+    raise ValueError(f"{name} must be finite{bound}{got}")
+
+
 @dataclass(frozen=True)
 class SigmaGrid:
     """Scale-bin boundaries (pixel units) plus the signal support set.
@@ -77,11 +108,9 @@ class SigmaGrid:
         return hash(self._key())
 
     def __post_init__(self):
-        b = np.asarray(self.boundaries, dtype=np.float64)
+        b = np.atleast_1d(check_real("boundaries", self.boundaries))
         if b.ndim != 1 or b.size < 2:
             raise ValueError("boundaries needs at least two entries (K >= 1)")
-        if not np.isfinite(b).all():
-            raise ValueError("boundaries must be finite")
         if b[0] != 0.0:
             raise ValueError(f"first boundary must be 0, got {b[0]}")
         if not (np.diff(b) > 0).all():
@@ -125,13 +154,9 @@ class PsdrTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        if d.ndim != 3:
-            raise ValueError(f"data must be M x N x K, got shape {d.shape}")
-        if not np.isfinite(d).all():
-            raise ValueError("data must be finite")
-        if (d < 0).any():
-            raise ValueError("data must be non-negative")
+        d = check_real("data", self.data, 0.0)
+        if np.ndim(d) != 3:
+            raise ValueError(f"data must be M x N x K, got shape {np.shape(d)}")
         object.__setattr__(self, "data", d)
 
     @property
@@ -152,17 +177,13 @@ class Observation:
     mask: np.ndarray
 
     def __post_init__(self):
-        d = np.asarray(self.data, dtype=np.float64)
-        w = np.asarray(self.weights, dtype=np.float64)
+        d = check_real("data", self.data)
+        w = check_real("weights", self.weights, 0.0)
         m = np.asarray(self.mask, dtype=np.float64)
-        if d.ndim != 2:
-            raise ValueError(f"data must be 2D, got shape {d.shape}")
-        if w.shape != d.shape or m.shape != d.shape:
+        if np.ndim(d) != 2:
+            raise ValueError(f"data must be 2D, got shape {np.shape(d)}")
+        if np.shape(w) != d.shape or m.shape != d.shape:
             raise ValueError("weights and mask must match the data shape")
-        if not (np.isfinite(d).all() and np.isfinite(w).all()):
-            raise ValueError("data and weights must be finite")
-        if (w < 0).any():
-            raise ValueError("weights must be non-negative")
         if not (w > 0).any():
             raise ValueError("at least one weight must be positive")
         if not np.isin(m, (0.0, 1.0)).all():
@@ -212,14 +233,13 @@ def omega(sigma: float, m):
     Non-negative, even in m, and sums to 1 over all m. The response is
     evaluated on every offset 0..max|m| and the requested ones are picked.
     """
-    if not np.isfinite(sigma) or sigma < 0:
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    sigma = check_real("sigma", sigma, 0.0)
     m_arr = np.atleast_1d(np.asarray(m))
     if not np.issubdtype(m_arr.dtype, np.integer):
         raise ValueError("pixel offset m must be integer")
     scalar = np.isscalar(m) or np.asarray(m).ndim == 0
     am = np.abs(m_arr.astype(np.int64))
-    row = _omega_rows(np.array([float(sigma)]), int(am.max(initial=0)))[0]
+    row = _omega_rows(np.array([sigma]), int(am.max(initial=0)))[0]
     out = row[am]
     return float(out[0]) if scalar else out
 
@@ -321,9 +341,9 @@ def build_kernel_bank(
     and each kernel is non-negative as a sum of their outer products. Its
     total mass is sqrt(width_k) up to tail truncation.
     """
-    if not (np.isfinite(psf_sigma) and psf_sigma >= 0):
-        raise ValueError(f"psf_sigma must be finite and >= 0, got {psf_sigma}")
-    return _cached_bank(grid, float(psf_sigma), check_count("quad_order", quad_order, 1))
+    return _cached_bank(
+        grid, check_real("psf_sigma", psf_sigma, 0.0), check_count("quad_order", quad_order, 1)
+    )
 
 
 # banks kept per process: a run uses one configuration at a time

@@ -45,7 +45,7 @@ import numpy as np
 import scipy.special as sp
 from scipy.fft import irfft, next_fast_len, rfft
 
-from .operator import PsdrTensor, SigmaGrid, check_count
+from .operator import PsdrTensor, SigmaGrid, check_count, check_real
 
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(24)
 
@@ -68,20 +68,9 @@ class PhysicalParams:
     pixel_pitch: float
 
     def __post_init__(self):
-        checks = (
-            ("kappa_a", self.kappa_a, 0.0),
-            ("kappa_d", self.kappa_d, 0.0),
-        )
-        for name, val, lo in checks:
-            if not (np.isfinite(val) and val >= lo):
-                raise ValueError(f"{name} must be finite and >= {lo}, got {val}")
-        for name, val in (
-            ("diffusion", self.diffusion),
-            ("horizon", self.horizon),
-            ("pixel_pitch", self.pixel_pitch),
-        ):
-            if not (np.isfinite(val) and val > 0):
-                raise ValueError(f"{name} must be finite and > 0, got {val}")
+        for name in ("kappa_a", "kappa_d", "diffusion", "horizon", "pixel_pitch"):
+            strict = name not in ("kappa_a", "kappa_d")
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, strict))
 
     @property
     def sigma_max_px(self) -> float:
@@ -108,15 +97,13 @@ class Source:
     t_stop: float
 
     def __post_init__(self):
-        if self.m != int(self.m) or self.n != int(self.n):
-            raise ValueError(f"source position must be integer, got ({self.m}, {self.n})")
-        if not (np.isfinite(self.rate) and self.rate >= 0):
-            raise ValueError(f"rate must be finite and >= 0, got {self.rate}")
-        if not (np.isfinite(self.t_start) and np.isfinite(self.t_stop)):
-            raise ValueError("emission window must be finite")
-        if self.t_start < 0 or self.t_stop < self.t_start:
+        for name in ("m", "n"):
+            object.__setattr__(self, name, check_count(name, getattr(self, name), 0))
+        for name in ("rate", "t_start", "t_stop"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
+        if self.t_stop < self.t_start:
             raise ValueError(
-                f"need 0 <= t_start <= t_stop, got [{self.t_start}, {self.t_stop}]"
+                f"need t_start <= t_stop, got [{self.t_start}, {self.t_stop}]"
             )
 
 
@@ -127,11 +114,7 @@ def phi_no_desorption(tau, params: PhysicalParams):
     (in the delay tau) of its first capture. It integrates to 1 over
     (0, inf); the tail decays like tau**-1.5.
     """
-    t = np.asarray(tau, dtype=np.float64)
-    if not np.isfinite(t).all():
-        raise ValueError("tau must be finite")
-    if (t <= 0).any():
-        raise ValueError("tau must be > 0")
+    t = check_real("tau", tau, 0.0, strict=True)
     ka, dif = params.kappa_a, params.diffusion
     root = np.sqrt(t / dif)
     out = ka / np.sqrt(np.pi * dif * t) - (ka * ka / dif) * sp.erfcx(ka * root)
@@ -141,9 +124,7 @@ def phi_no_desorption(tau, params: PhysicalParams):
 
 def capture_fraction(tau, params: PhysicalParams):
     """Probability that the capture delay is at most tau (no escape)."""
-    t = np.asarray(tau, dtype=np.float64)
-    if (t < 0).any() or not np.isfinite(t).all():
-        raise ValueError("tau must be finite and >= 0")
+    t = check_real("tau", tau, 0.0)
     out = 1.0 - sp.erfcx(params.kappa_a * np.sqrt(t / params.diffusion))
     return out if out.ndim else float(out)
 
@@ -161,8 +142,7 @@ def phi_norm_sq(params: PhysicalParams, tau_floor: float) -> float:
     unit-width Gauss-Legendre panels from ln x0 to s_hi = max(ln x0, 0) + 12,
     and the tail beyond s_hi adds exp(-4 s_hi) / (16 pi) in closed form.
     """
-    if not (np.isfinite(tau_floor) and tau_floor > 0):
-        raise ValueError(f"tau_floor must be finite and > 0, got {tau_floor}")
+    tau_floor = check_real("tau_floor", tau_floor, 0.0, strict=True)
     c = params.kappa_a / np.sqrt(params.diffusion)
     if c == 0.0:
         return 0.0
@@ -183,10 +163,8 @@ def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
     stays under eps (at least 1). With no escape a single generation is
     exact.
     """
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    if not (np.isfinite(norm_sq) and norm_sq >= 0):
-        raise ValueError(f"norm_sq must be finite and >= 0, got {norm_sq}")
+    eps = check_real("eps", eps, 0.0, strict=True)
+    norm_sq = check_real("norm_sq", norm_sq, 0.0)
     if norm_sq == 0.0:
         return 1
     budget = eps / norm_sq
@@ -419,9 +397,7 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     single-generation density sampled at cell midpoints, exactly.
     """
     tau_steps = check_count("tau_steps", tau_steps, 16)
-    if not (np.isfinite(eps) and eps > 0):
-        raise ValueError(f"eps must be finite and > 0, got {eps}")
-    return _cached_phi(params, tau_steps, float(eps))
+    return _cached_phi(params, tau_steps, check_real("eps", eps, 0.0, strict=True))
 
 
 # phi tables kept per process: a run uses one configuration at a time
@@ -611,9 +587,7 @@ def synth_psdr(
     per cell. Contributions are additive across emitters and linear in
     emission rate.
     """
-    m_rows, n_cols = int(shape[0]), int(shape[1])
-    if m_rows < 1 or n_cols < 1:
-        raise ValueError(f"shape must be positive, got {shape}")
+    m_rows, n_cols = (check_count("shape", s, 1) for s in shape)
     p = phi.params
     if grid.sigma_max > p.sigma_max_px * (1.0 + 1e-12):
         raise ValueError(
@@ -646,7 +620,7 @@ def synth_psdr(
             n_cells = int(np.searchsorted(edges[:-1], lim))
             rest = _window_rest_profile(phi, src.t_start, src.t_stop, n_cells)
             bands = bands + overlap[:, :n_cells] @ rest
-        out[int(src.m), int(src.n)] += src.rate * bands / sqrt_w
+        out[src.m, src.n] += src.rate * bands / sqrt_w
     return PsdrTensor(out)
 
 
@@ -659,13 +633,10 @@ def sensor_model(image, noise_sigma: float, bits: int, rng) -> np.ndarray:
     bits == 0 skips quantization. ``rng`` is an integer seed or a
     numpy Generator; equal seeds give identical output.
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2D, got shape {img.shape}")
-    if not np.isfinite(img).all():
-        raise ValueError("image must be finite")
-    if not (np.isfinite(noise_sigma) and noise_sigma >= 0):
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {noise_sigma}")
+    img = check_real("image", image)
+    if np.ndim(img) != 2:
+        raise ValueError(f"image must be 2D, got shape {np.shape(img)}")
+    noise_sigma = check_real("noise_sigma", noise_sigma, 0.0)
     if bits not in (0, 8, 12, 16):
         raise ValueError(f"bits must be one of 0, 8, 12, 16, got {bits}")
     peak = float(img.max(initial=0.0))

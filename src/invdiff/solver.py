@@ -23,6 +23,7 @@ from .operator import (
     PsdrTensor,
     adjoint,
     check_count,
+    check_real,
     forward,
     op_norm_estimate,
     tensor_data,
@@ -54,10 +55,8 @@ class SolverConfig:
     power_iters: int = 60
 
     def __post_init__(self):
-        if not (np.isfinite(self.lam) and self.lam >= 0):
-            raise ValueError(f"lam must be finite and >= 0, got {self.lam}")
-        if not (np.isfinite(self.gap_tol) and self.gap_tol >= 0):
-            raise ValueError(f"gap_tol must be finite and >= 0, got {self.gap_tol}")
+        for name in ("lam", "gap_tol"):
+            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
         for name in ("max_iters", "power_iters"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
 
@@ -140,8 +139,7 @@ def prox_group_nonneg(v: np.ndarray, threshold: float, support_mask: np.ndarray)
     the threshold (vanishing entirely when its norm is below it).
     Unsupported bins are only clipped.
     """
-    if not (np.isfinite(threshold) and threshold >= 0):
-        raise ValueError(f"threshold must be finite and >= 0, got {threshold}")
+    threshold = check_real("threshold", threshold, 0.0)
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected an M x N x K tensor, got shape {arr.shape}")
@@ -201,11 +199,12 @@ def fista_solve(
 ):
     """Run the accelerated proximal-gradient reconstruction.
 
-    Returns (PsdrTensor, SolveTrace). The step is 1 / (2 * L**2), the
-    inverse Lipschitz constant of the data gradient when L is the given
-    operator norm or op_norm_estimate's upper bound. An iteration that would
-    increase the objective is redone without momentum, so the recorded
-    objective never increases.
+    Returns (PsdrTensor, SolveTrace). A warm start ``init`` must be finite,
+    non-negative and zero wherever obs.mask is 0. The step is
+    1 / (2 * L**2), the inverse Lipschitz constant of the data gradient when
+    L is the given operator norm or op_norm_estimate's upper bound. An
+    iteration that would increase the objective is redone without momentum,
+    so the recorded objective never increases.
 
     Stops at an exact fixed point, or once the relative duality gap
     (P(x) - D) / P(x) is at most gap_tol, or after max_iters iterations.
@@ -225,16 +224,17 @@ def fista_solve(
         # the operator is linear: a cold start needs no forward call
         x, fwd_x = np.zeros((m, n, kbins)), np.zeros((m, n))
     else:
-        x = np.array(init, dtype=np.float64)
+        x = np.array(check_real("init", init, 0.0))
         if x.shape != (m, n, kbins):
             raise ValueError(f"init shape {x.shape} != {(m, n, kbins)}")
-        if not np.isfinite(x).all() or (x < 0).any():
-            raise ValueError("init must be finite and non-negative")
+        # a masked-out pixel has a zero gradient, so no iteration removes
+        # mass from its unpenalized bins
+        if x[obs.mask == 0].any():
+            raise ValueError("init must be zero where the observation mask is 0")
         fwd_x = forward(x, bank)
     if op_norm is None:
         op_norm = op_norm_estimate(obs, bank, cfg.power_iters)
-    if not (np.isfinite(op_norm) and op_norm >= 0):
-        raise ValueError(f"op_norm must be finite and >= 0, got {op_norm}")
+    op_norm = check_real("op_norm", op_norm, 0.0)
     l_data = 2.0 * op_norm * op_norm
     step = 1.0 / l_data if l_data > 0 else 1.0
 
@@ -288,7 +288,7 @@ def fista_solve(
             stop_reason=stop_reason,
             gap=gap,
             step=step,
-            op_norm=float(op_norm),
+            op_norm=op_norm,
         )
 
     for _ in range(cfg.max_iters):

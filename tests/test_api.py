@@ -5,6 +5,7 @@ no module reaches into another's private names.
 """
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import numpy as np
 import pytest
 
 import invdiff
+import invdiff.cli
 
 
 def _public_bindings():
@@ -93,3 +95,78 @@ def test_count_arguments_reject_non_integral_values(name):
             make(bad)
     make(np.int64(lo))
     make(float(lo + 1))
+
+
+_PARAMS = dict(kappa_a=1e-6, kappa_d=1e-3, diffusion=1e-10, horizon=3600.0, pixel_pitch=1e-5)
+_P = invdiff.PhysicalParams(**_PARAMS)
+_SOURCE = dict(m=1, n=1, rate=1.0, t_start=0.0, t_stop=10.0)
+_EMPTY = invdiff.find_sources(np.zeros((4, 4)))
+
+
+def _fista_with_norm(v):
+    obs = invdiff.Observation.plain(np.zeros((8, 8)))
+    cfg = invdiff.SolverConfig(lam=0.1, max_iters=1)
+    invdiff.fista_solve(obs, invdiff.build_kernel_bank(_GRID), cfg, op_norm=v)
+
+
+def _place_sources(v):
+    cfg = dataclasses.replace(invdiff.default_config(), source_min_separation=v)
+    invdiff.cli._place_sources(cfg, np.random.default_rng(0))
+
+
+# "function.argument" -> (strictly positive, a valid value, call with a value)
+_REALS = {
+    **{
+        f"PhysicalParams.{name}": (
+            name not in ("kappa_a", "kappa_d"),
+            _PARAMS[name],
+            lambda v, name=name: invdiff.PhysicalParams(**dict(_PARAMS, **{name: v})),
+        )
+        for name in _PARAMS
+    },
+    **{
+        f"Source.{name}": (
+            False,
+            _SOURCE[name] + 1.0,
+            lambda v, name=name: invdiff.Source(**dict(_SOURCE, **{name: v})),
+        )
+        for name in ("rate", "t_start", "t_stop")
+    },
+    "SolverConfig.lam": (False, 0.1, lambda v: invdiff.SolverConfig(lam=v)),
+    "SolverConfig.gap_tol": (False, 1e-3, lambda v: invdiff.SolverConfig(lam=0.1, gap_tol=v)),
+    "omega.sigma": (False, 1.0, lambda v: invdiff.omega(v, 0)),
+    "build_kernel_bank.psf_sigma": (False, 0.5, lambda v: invdiff.build_kernel_bank(_GRID, v)),
+    "phi_norm_sq.tau_floor": (True, 1.0, lambda v: invdiff.phi_norm_sq(_P, v)),
+    "truncation_order.eps": (True, 1e-6, lambda v: invdiff.truncation_order(v, _P, 1.0)),
+    "truncation_order.norm_sq": (False, 1.0, lambda v: invdiff.truncation_order(1e-6, _P, v)),
+    "phi_general.eps": (True, 1e-6, lambda v: invdiff.phi_general(_P, 64, v)),
+    "sensor_model.noise_sigma": (
+        False, 0.01, lambda v: invdiff.sensor_model(np.ones((4, 4)), v, 0, 0)
+    ),
+    "prox_group_nonneg.threshold": (
+        False, 1.0, lambda v: invdiff.prox_group_nonneg(np.zeros((1, 1, 2)), v, [True, True])
+    ),
+    "fista_solve.op_norm": (False, 1.0, _fista_with_norm),
+    "find_sources.rel_threshold": (
+        False, 0.5, lambda v: invdiff.find_sources(np.zeros((4, 4)), rel_threshold=v)
+    ),
+    "find_sources.min_separation": (
+        False, 4.0, lambda v: invdiff.find_sources(np.zeros((4, 4)), min_separation=v)
+    ),
+    "match_and_score.radius": (
+        False, 4.0, lambda v: invdiff.match_and_score(_EMPTY, np.empty((0, 2)), v)
+    ),
+    "cli.source_min_separation": (False, 10.0, _place_sources),
+}
+
+
+@pytest.mark.parametrize("key", sorted(_REALS))
+def test_real_arguments_reject_non_finite_out_of_range_and_non_numbers(key):
+    # a string reached NumPy as an unnamed TypeError, and a NaN minimum
+    # separation turned suppression off; NumPy scalars stay accepted
+    strict, good, call = _REALS[key]
+    name = key.rsplit(".", 1)[1]
+    for bad in (np.nan, np.inf, -np.inf, -1.0, "1") + ((0.0,) if strict else ()):
+        with pytest.raises(ValueError, match=name):
+            call(bad)
+    call(np.float64(good))

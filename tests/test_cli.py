@@ -397,6 +397,16 @@ class TestMainPlumbing:
         assert "source_min_separation" in capsys.readouterr().err
         assert not (tmp_path / "out" / "psdr.idf").exists()
 
+    def test_diverging_solve_exits_2(self, tmp_path, capsys):
+        # the misfit of an image of 1e300 overflows at the first iteration
+        write_tensor(tmp_path / "huge.idf", np.full((24, 24), 1e300))
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text("rows = 24\ncols = 24\nsigma_boundaries = 0, 2, 4\nsupport_bins = 1, 2\n")
+        rc = main(["solve", "--config", str(cfg), "--input", str(tmp_path / "huge.idf"),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "error: objective became non-finite" in capsys.readouterr().err
+
     def test_defaults_used_without_config(self, tmp_path):
         # kernels works with the built-in defaults (no --config)
         rc = main(["kernels", "--out", str(tmp_path / "defk")])

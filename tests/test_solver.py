@@ -427,6 +427,15 @@ class TestFistaSolve:
             fista_solve(obs, bank, cfg, init=np.full((24, 24, 3), -1.0))
         with pytest.raises(ValueError, match="op_norm"):
             fista_solve(obs, bank, cfg, op_norm=-2.0)
+        # mass on a masked-out pixel: its gradient is zero, so an unpenalized
+        # bin would keep that mass for good
+        mask = np.ones((24, 24))
+        mask[:, :8] = 0.0
+        holed = Observation(data=obs.data, weights=obs.weights, mask=mask)
+        with pytest.raises(ValueError, match="init"):
+            fista_solve(holed, bank, cfg, init=np.ones((24, 24, 3)))
+        init = np.ones((24, 24, 3)) * mask[:, :, None]
+        fista_solve(holed, bank, cfg, init=init)
 
     def test_warm_start_converges_immediately_at_solution(self, bank):
         _, obs = _instance(bank, seed=15, noise=0.02)
