@@ -63,7 +63,7 @@ def _place_sources(cfg: RunConfig, rng: np.random.Generator) -> list[Source]:
             f"border_margin {margin} leaves no room on a {rows} x {cols} image"
         )
     num_sources = check_count("num_sources", cfg.num_sources, 0)
-    sep = check_real("source_min_separation", cfg.source_min_separation, 0.0)
+    sep = check_real("source_min_separation", cfg.source_min_separation, "non-negative")
     t0, t1 = cfg.source_t_start, cfg.effective_t_stop()
     placed: list[Source] = []
     attempts = 0

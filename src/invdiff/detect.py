@@ -102,10 +102,10 @@ def find_sources(
     img = check_real("activity", activity)
     if np.ndim(img) != 2:
         raise ValueError(f"activity map must be 2D, got shape {np.shape(img)}")
-    rel_threshold = check_real("rel_threshold", rel_threshold, 0.0)
+    rel_threshold = check_real("rel_threshold", rel_threshold, "non-negative")
     if rel_threshold > 1.0:
         raise ValueError(f"rel_threshold must be in [0, 1], got {rel_threshold}")
-    min_separation = check_real("min_separation", min_separation, 0.0)
+    min_separation = check_real("min_separation", min_separation, "non-negative")
     peak = img.max(initial=0.0)
     empty = DetectionResult(
         rows=np.empty(0, dtype=np.int64),
@@ -157,7 +157,7 @@ def match_and_score(
     Non-finite truth coordinates are rejected: a NaN distance would claim a
     detection ahead of a true source at distance 0.
     """
-    radius = check_real("radius", radius, 0.0)
+    radius = check_real("radius", radius, "non-negative")
     t = np.atleast_1d(check_real("truths", truths))
     if t.size == 0:
         t = np.empty((0, 2))

@@ -31,9 +31,10 @@ default 128 x 128 configuration keeps about 2 MB this way: 0.18 MB of rows
 and 1.85 MB of plan spectra. Nothing keyed on an observation is kept.
 
 The package's two argument checks live here as well: ``check_count`` for
-whole numbers and ``check_real`` for real numbers and arrays of them. Every
-module passes its numeric arguments through them, so a bad value raises one
-kind of ValueError, which names the argument.
+whole numbers and ``check_real`` for real numbers and arrays of them, whose
+``bound`` is ``""`` (any finite value), ``"non-negative"`` or ``"positive"``.
+Every module passes its numeric arguments through them, so a bad value
+raises one kind of ValueError, which names the argument and the bound.
 """
 
 from __future__ import annotations
@@ -59,10 +60,10 @@ def check_count(name: str, value, lo: int) -> int:
     return whole
 
 
-def check_real(name: str, value, lo: float = -np.inf, strict: bool = False) -> float | np.ndarray:
+def check_real(name: str, value, bound: str = "") -> float | np.ndarray:
     """``value`` as a float, or as a float64 array if it is array-like, if
-    every entry is a finite number of at least ``lo`` (above ``lo`` if
-    ``strict``); otherwise a ValueError that names the argument. Strings,
+    every entry is finite and ``bound`` (``""``, ``"non-negative"`` or
+    ``"positive"``); otherwise a ValueError that names the argument. Strings,
     None and objects that NumPy holds only as objects are not numbers."""
     try:
         arr = np.asarray(value)
@@ -75,14 +76,11 @@ def check_real(name: str, value, lo: float = -np.inf, strict: bool = False) -> f
             low = high = float(arr)
         else:
             low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
-        if -np.inf < low and high < np.inf and (low > lo if strict else low >= lo):
+        ok = low > 0.0 if bound == "positive" else low >= 0.0 or not bound
+        if -np.inf < low and high < np.inf and ok:
             return low if arr.ndim == 0 else arr
-    if lo == 0.0:
-        bound = " and positive" if strict else " and non-negative"
-    else:
-        bound = "" if lo == -np.inf else f" and {'>' if strict else '>='} {lo:g}"
     got = f", got {value!r}" if arr.ndim == 0 else ""
-    raise ValueError(f"{name} must be finite{bound}{got}")
+    raise ValueError(f"{name} must be finite{' and ' + bound if bound else ''}{got}")
 
 
 @dataclass(frozen=True)
@@ -108,7 +106,7 @@ class SigmaGrid:
         return hash(self._key())
 
     def __post_init__(self):
-        b = np.atleast_1d(check_real("boundaries", self.boundaries))
+        b = np.atleast_1d(check_real("boundaries", self.boundaries)).copy()
         if b.ndim != 1 or b.size < 2:
             raise ValueError("boundaries needs at least two entries (K >= 1)")
         if b[0] != 0.0:
@@ -116,13 +114,10 @@ class SigmaGrid:
         if not (np.diff(b) > 0).all():
             raise ValueError("boundaries must be strictly increasing")
         k = b.size - 1
-        for s in self.support_set:
-            if s != int(s):
-                raise ValueError(f"support_set entries must be integers, got {s}")
-        sup = tuple(sorted(set(int(s) for s in self.support_set)))
+        sup = tuple(sorted({check_count("support_set", s, 1) for s in self.support_set}))
         if not sup:
             raise ValueError("support_set must not be empty")
-        if sup[0] < 1 or sup[-1] > k:
+        if sup[-1] > k:
             raise ValueError(f"support_set entries must lie in 1..{k}, got {sup}")
         b.setflags(write=False)
         object.__setattr__(self, "boundaries", b)
@@ -154,7 +149,7 @@ class PsdrTensor:
     data: np.ndarray
 
     def __post_init__(self):
-        d = check_real("data", self.data, 0.0)
+        d = check_real("data", self.data, "non-negative")
         if np.ndim(d) != 3:
             raise ValueError(f"data must be M x N x K, got shape {np.shape(d)}")
         object.__setattr__(self, "data", d)
@@ -178,8 +173,8 @@ class Observation:
 
     def __post_init__(self):
         d = check_real("data", self.data)
-        w = check_real("weights", self.weights, 0.0)
-        m = np.asarray(self.mask, dtype=np.float64)
+        w = check_real("weights", self.weights, "non-negative")
+        m = check_real("mask", self.mask)
         if np.ndim(d) != 2:
             raise ValueError(f"data must be 2D, got shape {np.shape(d)}")
         if np.shape(w) != d.shape or m.shape != d.shape:
@@ -189,14 +184,15 @@ class Observation:
         if not np.isin(m, (0.0, 1.0)).all():
             raise ValueError("mask must be binary (0/1)")
         for name, arr in (("data", d), ("weights", w), ("mask", m)):
+            arr = arr.copy()
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod
     def plain(cls, data: np.ndarray) -> "Observation":
         """Observation with unit weights and a full mask."""
-        d = np.asarray(data, dtype=np.float64)
-        return cls(d, np.ones_like(d), np.ones_like(d))
+        shape = np.shape(data)
+        return cls(data, np.ones(shape), np.ones(shape))
 
 
 def _psi_tail(x: np.ndarray) -> np.ndarray:
@@ -233,7 +229,7 @@ def omega(sigma: float, m):
     Non-negative, even in m, and sums to 1 over all m. The response is
     evaluated on every offset 0..max|m| and the requested ones are picked.
     """
-    sigma = check_real("sigma", sigma, 0.0)
+    sigma = check_real("sigma", sigma, "non-negative")
     m_arr = np.atleast_1d(np.asarray(m))
     if not np.issubdtype(m_arr.dtype, np.integer):
         raise ValueError("pixel offset m must be integer")
@@ -250,6 +246,8 @@ def kernel_radius(sigma_hi: float, psf_sigma: float) -> int:
     Six standard deviations plus margin keep the discarded tail mass of each
     kernel below 1e-7 of its nominal mass.
     """
+    sigma_hi = check_real("sigma_hi", sigma_hi, "non-negative")
+    psf_sigma = check_real("psf_sigma", psf_sigma, "non-negative")
     return int(np.ceil(6.0 * (sigma_hi + psf_sigma))) + 2
 
 
@@ -341,9 +339,8 @@ def build_kernel_bank(
     and each kernel is non-negative as a sum of their outer products. Its
     total mass is sqrt(width_k) up to tail truncation.
     """
-    return _cached_bank(
-        grid, check_real("psf_sigma", psf_sigma, 0.0), check_count("quad_order", quad_order, 1)
-    )
+    psf_sigma = check_real("psf_sigma", psf_sigma, "non-negative")
+    return _cached_bank(grid, psf_sigma, check_count("quad_order", quad_order, 1))
 
 
 # banks kept per process: a run uses one configuration at a time

@@ -69,8 +69,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         for name in ("kappa_a", "kappa_d", "diffusion", "horizon", "pixel_pitch"):
-            strict = name not in ("kappa_a", "kappa_d")
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0, strict))
+            bound = "non-negative" if name in ("kappa_a", "kappa_d") else "positive"
+            object.__setattr__(self, name, check_real(name, getattr(self, name), bound))
 
     @property
     def sigma_max_px(self) -> float:
@@ -79,9 +79,9 @@ class PhysicalParams:
             np.sqrt(2.0 * self.diffusion * self.horizon) / self.pixel_pitch
         )
 
-    def tau_of_sigma_px(self, sigma_px) -> np.ndarray:
+    def tau_of_sigma_px(self, sigma_px) -> float | np.ndarray:
         """Free-motion time that produces a blob of the given pixel scale."""
-        s = np.asarray(sigma_px, dtype=np.float64) * self.pixel_pitch
+        s = check_real("sigma_px", sigma_px, "non-negative") * self.pixel_pitch
         return s * s / (2.0 * self.diffusion)
 
 
@@ -100,7 +100,7 @@ class Source:
         for name in ("m", "n"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 0))
         for name in ("rate", "t_start", "t_stop"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), "non-negative"))
         if self.t_stop < self.t_start:
             raise ValueError(
                 f"need t_start <= t_stop, got [{self.t_start}, {self.t_stop}]"
@@ -114,7 +114,7 @@ def phi_no_desorption(tau, params: PhysicalParams):
     (in the delay tau) of its first capture. It integrates to 1 over
     (0, inf); the tail decays like tau**-1.5.
     """
-    t = check_real("tau", tau, 0.0, strict=True)
+    t = check_real("tau", tau, "positive")
     ka, dif = params.kappa_a, params.diffusion
     root = np.sqrt(t / dif)
     out = ka / np.sqrt(np.pi * dif * t) - (ka * ka / dif) * sp.erfcx(ka * root)
@@ -124,7 +124,7 @@ def phi_no_desorption(tau, params: PhysicalParams):
 
 def capture_fraction(tau, params: PhysicalParams):
     """Probability that the capture delay is at most tau (no escape)."""
-    t = check_real("tau", tau, 0.0)
+    t = check_real("tau", tau, "non-negative")
     out = 1.0 - sp.erfcx(params.kappa_a * np.sqrt(t / params.diffusion))
     return out if out.ndim else float(out)
 
@@ -142,7 +142,7 @@ def phi_norm_sq(params: PhysicalParams, tau_floor: float) -> float:
     unit-width Gauss-Legendre panels from ln x0 to s_hi = max(ln x0, 0) + 12,
     and the tail beyond s_hi adds exp(-4 s_hi) / (16 pi) in closed form.
     """
-    tau_floor = check_real("tau_floor", tau_floor, 0.0, strict=True)
+    tau_floor = check_real("tau_floor", tau_floor, "positive")
     c = params.kappa_a / np.sqrt(params.diffusion)
     if c == 0.0:
         return 0.0
@@ -163,8 +163,8 @@ def truncation_order(eps: float, params: PhysicalParams, norm_sq: float) -> int:
     stays under eps (at least 1). With no escape a single generation is
     exact.
     """
-    eps = check_real("eps", eps, 0.0, strict=True)
-    norm_sq = check_real("norm_sq", norm_sq, 0.0)
+    eps = check_real("eps", eps, "positive")
+    norm_sq = check_real("norm_sq", norm_sq, "non-negative")
     if norm_sq == 0.0:
         return 1
     budget = eps / norm_sq
@@ -195,7 +195,7 @@ class PhiTable:
 
     def __post_init__(self):
         for name in ("tau_grid", "values", "powers"):
-            arr = np.asarray(getattr(self, name), dtype=np.float64)
+            arr = np.array(check_real(name, getattr(self, name)))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
         if self.values.shape != self.tau_grid.shape:
@@ -397,7 +397,7 @@ def phi_general(params: PhysicalParams, tau_steps: int, eps: float = 1e-6) -> Ph
     single-generation density sampled at cell midpoints, exactly.
     """
     tau_steps = check_count("tau_steps", tau_steps, 16)
-    return _cached_phi(params, tau_steps, check_real("eps", eps, 0.0, strict=True))
+    return _cached_phi(params, tau_steps, check_real("eps", eps, "positive"))
 
 
 # phi tables kept per process: a run uses one configuration at a time
@@ -636,7 +636,7 @@ def sensor_model(image, noise_sigma: float, bits: int, rng) -> np.ndarray:
     img = check_real("image", image)
     if np.ndim(img) != 2:
         raise ValueError(f"image must be 2D, got shape {np.shape(img)}")
-    noise_sigma = check_real("noise_sigma", noise_sigma, 0.0)
+    noise_sigma = check_real("noise_sigma", noise_sigma, "non-negative")
     if bits not in (0, 8, 12, 16):
         raise ValueError(f"bits must be one of 0, 8, 12, 16, got {bits}")
     peak = float(img.max(initial=0.0))

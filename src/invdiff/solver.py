@@ -56,7 +56,7 @@ class SolverConfig:
 
     def __post_init__(self):
         for name in ("lam", "gap_tol"):
-            object.__setattr__(self, name, check_real(name, getattr(self, name), 0.0))
+            object.__setattr__(self, name, check_real(name, getattr(self, name), "non-negative"))
         for name in ("max_iters", "power_iters"):
             object.__setattr__(self, name, check_count(name, getattr(self, name), 1))
 
@@ -139,7 +139,7 @@ def prox_group_nonneg(v: np.ndarray, threshold: float, support_mask: np.ndarray)
     the threshold (vanishing entirely when its norm is below it).
     Unsupported bins are only clipped.
     """
-    threshold = check_real("threshold", threshold, 0.0)
+    threshold = check_real("threshold", threshold, "non-negative")
     arr = np.ascontiguousarray(v, dtype=np.float64)
     if arr.ndim != 3:
         raise ValueError(f"expected an M x N x K tensor, got shape {arr.shape}")
@@ -224,7 +224,7 @@ def fista_solve(
         # the operator is linear: a cold start needs no forward call
         x, fwd_x = np.zeros((m, n, kbins)), np.zeros((m, n))
     else:
-        x = np.array(check_real("init", init, 0.0))
+        x = np.array(check_real("init", init, "non-negative"))
         if x.shape != (m, n, kbins):
             raise ValueError(f"init shape {x.shape} != {(m, n, kbins)}")
         # a masked-out pixel has a zero gradient, so no iteration removes
@@ -234,7 +234,7 @@ def fista_solve(
         fwd_x = forward(x, bank)
     if op_norm is None:
         op_norm = op_norm_estimate(obs, bank, cfg.power_iters)
-    op_norm = check_real("op_norm", op_norm, 0.0)
+    op_norm = check_real("op_norm", op_norm, "non-negative")
     l_data = 2.0 * op_norm * op_norm
     step = 1.0 / l_data if l_data > 0 else 1.0
 

@@ -21,6 +21,8 @@ import struct
 
 import numpy as np
 
+from .operator import check_real
+
 MAGIC = b"IDF1"
 _MAX_RANK = 8
 
@@ -69,11 +71,9 @@ def write_pgm16(path, image) -> None:
     sidecar ``<path>.scale.txt`` holds the physical value of one gray level
     (0 for an all-zero image).
     """
-    img = np.asarray(image, dtype=np.float64)
-    if img.ndim != 2:
-        raise ValueError(f"image must be 2D, got shape {img.shape}")
-    if not np.isfinite(img).all():
-        raise ValueError("image must be finite")
+    img = check_real("image", image)
+    if np.ndim(img) != 2:
+        raise ValueError(f"image must be 2D, got shape {np.shape(img)}")
     peak = float(img.max(initial=0.0))
     if peak > 0.0:
         quant = np.round(np.clip(img, 0.0, peak) * (65535.0 / peak)).astype(">u2")

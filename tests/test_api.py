@@ -81,6 +81,7 @@ _COUNTS = {
     "tau_steps": (16, lambda v: invdiff.phi_general(
         invdiff.PhysicalParams(1e-6, 1e-3, 1e-10, 3600.0, 1e-5), v
     )),
+    "support_set": (1, lambda v: invdiff.SigmaGrid((0.0, 2.0, 4.0), (v,))),
 }
 
 
@@ -134,7 +135,15 @@ _REALS = {
     },
     "SolverConfig.lam": (False, 0.1, lambda v: invdiff.SolverConfig(lam=v)),
     "SolverConfig.gap_tol": (False, 1e-3, lambda v: invdiff.SolverConfig(lam=0.1, gap_tol=v)),
+    "Observation.mask": (
+        False,
+        1.0,
+        lambda v: invdiff.Observation(np.ones((2, 2)), np.ones((2, 2)), np.full((2, 2), v)),
+    ),
+    "tau_of_sigma_px.sigma_px": (False, 3.0, _P.tau_of_sigma_px),
     "omega.sigma": (False, 1.0, lambda v: invdiff.omega(v, 0)),
+    "kernel_radius.sigma_hi": (False, 2.0, lambda v: invdiff.kernel_radius(v, 0.5)),
+    "kernel_radius.psf_sigma": (False, 0.5, lambda v: invdiff.kernel_radius(2.0, v)),
     "build_kernel_bank.psf_sigma": (False, 0.5, lambda v: invdiff.build_kernel_bank(_GRID, v)),
     "phi_norm_sq.tau_floor": (True, 1.0, lambda v: invdiff.phi_norm_sq(_P, v)),
     "truncation_order.eps": (True, 1e-6, lambda v: invdiff.truncation_order(v, _P, 1.0)),

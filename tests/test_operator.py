@@ -87,7 +87,7 @@ class TestSigmaGrid:
             SigmaGrid(boundaries=(0.0, 2.0), support_set=())
         with pytest.raises(ValueError, match="lie in"):
             SigmaGrid(boundaries=(0.0, 2.0), support_set=(2,))
-        with pytest.raises(ValueError, match="integers, got 1.5"):
+        with pytest.raises(ValueError, match="support_set must be an integer >= 1, got 1.5"):
             SigmaGrid(boundaries=(0.0, 2.0, 4.0), support_set=(1.5, 2))
 
     def test_equal_grids_are_equal_and_hash_alike(self):
@@ -109,6 +109,13 @@ class TestSigmaGrid:
         grid = SigmaGrid(boundaries=(0.0, 2.0, 5.0), support_set=(1, 2))
         assert grid != other and not grid == other
         assert grid != (grid.boundaries, grid.support_set)
+
+    def test_keeps_a_copy_of_the_callers_boundaries(self):
+        b = np.array([0.0, 2.0, 5.0])
+        grid = SigmaGrid(boundaries=b, support_set=(1, 2))
+        b[2] = 9.0
+        assert grid.sigma_max == 5.0
+        assert not grid.boundaries.flags.writeable
 
 
 class TestPsdrTensor:
@@ -143,6 +150,19 @@ class TestObservation:
             Observation(data=d, weights=np.zeros((3, 3)), mask=np.ones((3, 3)))
         with pytest.raises(ValueError, match="binary"):
             Observation(data=d, weights=np.ones((3, 3)), mask=np.full((3, 3), 0.5))
+        with pytest.raises(ValueError, match="data must be finite"):
+            Observation.plain(np.full((3, 3), "1"))
+
+    def test_keeps_copies_of_the_callers_arrays(self):
+        img = np.zeros((4, 4))
+        Observation.plain(img)
+        assert img.flags.writeable
+        arrays = np.zeros((4, 4)), np.ones((4, 4)), np.ones((4, 4))
+        obs = Observation(*arrays)
+        for arr in arrays:
+            arr[0, 0] = 0.5
+        assert (obs.data[0, 0], obs.weights[0, 0], obs.mask[0, 0]) == (0.0, 1.0, 1.0)
+        assert not any(a.flags.writeable for a in (obs.data, obs.weights, obs.mask))
 
 
 class TestKernelBank:

@@ -16,6 +16,7 @@ from scipy import integrate, special
 
 from invdiff import (
     Observation,
+    PhiTable,
     PhysicalParams,
     SigmaGrid,
     Source,
@@ -233,6 +234,15 @@ class TestPhiTable:
                 phi = phi_general(p, 4096)
             assert phi.j_max == 1
             assert np.isfinite(phi.mass())
+
+    def test_checks_and_copies_the_callers_arrays(self):
+        grid, values, powers = np.array([0.5, 1.5]), np.ones(2), np.ones((1, 2))
+        phi = PhiTable(params(), 1, grid, values, powers)
+        for arr in (grid, values, powers):
+            arr[..., 0] = 3.0
+        assert (phi.tau_grid[0], phi.values[0], phi.powers[0, 0]) == (0.5, 1.0, 1.0)
+        with pytest.raises(ValueError, match="values must be finite"):
+            PhiTable(params(), 1, grid, np.array(["1", "1"]), powers)
 
     def test_zero_capture_is_zero_table(self):
         for kd in (1e-3, 0.0):
