@@ -107,21 +107,18 @@ def find_sources(
         raise ValueError(f"rel_threshold must be in [0, 1], got {rel_threshold}")
     min_separation = check_real("min_separation", min_separation, "non-negative")
     peak = img.max(initial=0.0)
-    empty = DetectionResult(
-        rows=np.empty(0, dtype=np.int64),
-        cols=np.empty(0, dtype=np.int64),
-        scores=np.empty(0),
-    )
     if peak <= 0.0:
-        return empty
+        return DetectionResult(
+            rows=np.empty(0, dtype=np.int64),
+            cols=np.empty(0, dtype=np.int64),
+            scores=np.empty(0),
+        )
     # 3x3 neighbourhood maximum: a max over row shifts, then column shifts
     pad = np.pad(img, 1, constant_values=-np.inf)
     rows = np.maximum(np.maximum(pad[:-2], pad[1:-1]), pad[2:])
     local_max = img >= np.maximum(np.maximum(rows[:, :-2], rows[:, 1:-1]), rows[:, 2:])
     cand = local_max & (img >= rel_threshold * peak) & (img > 0)
     ms, ns = np.nonzero(cand)
-    if ms.size == 0:
-        return empty
     scores = img[ms, ns]
     order = np.lexsort((ns, ms, -scores))
     ms, ns, scores = ms[order], ns[order], scores[order]

@@ -35,6 +35,10 @@ whole numbers and ``check_real`` for real numbers and arrays of them, whose
 ``bound`` is ``""`` (any finite value), ``"non-negative"`` or ``"positive"``.
 Every module passes its numeric arguments through them, so a bad value
 raises one kind of ValueError, which names the argument and the bound.
+``check_real`` returns every array it passes as a read-only float64 copy,
+so the holders of arrays (``SigmaGrid``, ``PsdrTensor``, ``Observation``
+and ``PhiTable``) store what it returns: a later write to the caller's
+array cannot reach them, and the caller's array stays writeable.
 """
 
 from __future__ import annotations
@@ -61,20 +65,24 @@ def check_count(name: str, value, lo: int) -> int:
 
 
 def check_real(name: str, value, bound: str = "") -> float | np.ndarray:
-    """``value`` as a float, or as a float64 array if it is array-like, if
-    every entry is finite and ``bound`` (``""``, ``"non-negative"`` or
-    ``"positive"``); otherwise a ValueError that names the argument. Strings,
-    None and objects that NumPy holds only as objects are not numbers."""
+    """``value`` as a float, or as a read-only float64 copy if it is
+    array-like, if every entry is finite and ``bound`` (``""``,
+    ``"non-negative"`` or ``"positive"``); otherwise a ValueError that names
+    the argument. Strings, None and objects that NumPy holds only as objects
+    are not numbers."""
     try:
         arr = np.asarray(value)
     except (TypeError, ValueError):
         arr = np.asarray(None)
     if arr.dtype.kind in "biuf":
-        arr = arr.astype(np.float64, copy=False)
         # the extremes decide, in one pass each; a NaN fails every comparison
         if arr.ndim == 0:
             low = high = float(arr)
         else:
+            # copied first: the caller keeps no handle on what is checked,
+            # and integer extremes would overflow the float initials
+            arr = arr.astype(np.float64)
+            arr.setflags(write=False)
             low, high = arr.min(initial=np.inf), arr.max(initial=-np.inf)
         ok = low > 0.0 if bound == "positive" else low >= 0.0 or not bound
         if -np.inf < low and high < np.inf and ok:
@@ -106,7 +114,7 @@ class SigmaGrid:
         return hash(self._key())
 
     def __post_init__(self):
-        b = np.atleast_1d(check_real("boundaries", self.boundaries)).copy()
+        b = np.atleast_1d(check_real("boundaries", self.boundaries))
         if b.ndim != 1 or b.size < 2:
             raise ValueError("boundaries needs at least two entries (K >= 1)")
         if b[0] != 0.0:
@@ -119,7 +127,6 @@ class SigmaGrid:
             raise ValueError("support_set must not be empty")
         if sup[-1] > k:
             raise ValueError(f"support_set entries must lie in 1..{k}, got {sup}")
-        b.setflags(write=False)
         object.__setattr__(self, "boundaries", b)
         object.__setattr__(self, "support_set", sup)
 
@@ -177,15 +184,13 @@ class Observation:
         m = check_real("mask", self.mask)
         if np.ndim(d) != 2:
             raise ValueError(f"data must be 2D, got shape {np.shape(d)}")
-        if np.shape(w) != d.shape or m.shape != d.shape:
+        if np.shape(w) != d.shape or np.shape(m) != d.shape:
             raise ValueError("weights and mask must match the data shape")
         if not (w > 0).any():
             raise ValueError("at least one weight must be positive")
         if not np.isin(m, (0.0, 1.0)).all():
             raise ValueError("mask must be binary (0/1)")
         for name, arr in (("data", d), ("weights", w), ("mask", m)):
-            arr = arr.copy()
-            arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
     @classmethod

@@ -195,9 +195,7 @@ class PhiTable:
 
     def __post_init__(self):
         for name in ("tau_grid", "values", "powers"):
-            arr = np.array(check_real(name, getattr(self, name)))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, check_real(name, getattr(self, name)))
         if self.values.shape != self.tau_grid.shape:
             raise ValueError("values must match tau_grid")
         if self.powers.ndim != 2 or self.powers.shape[1] != self.tau_grid.size:
@@ -642,12 +640,9 @@ def sensor_model(image, noise_sigma: float, bits: int, rng) -> np.ndarray:
     peak = float(img.max(initial=0.0))
     if peak <= 0.0:
         return np.zeros_like(img)
-    gen = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
     if noise_sigma > 0:
-        out = img + (noise_sigma * peak) * gen.standard_normal(img.shape)
-    else:
-        out = img.copy()
-    np.clip(out, 0.0, peak, out=out)
+        img = img + (noise_sigma * peak) * np.random.default_rng(rng).standard_normal(img.shape)
+    out = np.clip(img, 0.0, peak)
     if bits:
         levels = float(2**bits - 1)
         out = np.round(out * (levels / peak)) * (peak / levels)

@@ -224,7 +224,7 @@ def fista_solve(
         # the operator is linear: a cold start needs no forward call
         x, fwd_x = np.zeros((m, n, kbins)), np.zeros((m, n))
     else:
-        x = np.array(check_real("init", init, "non-negative"))
+        x = check_real("init", init, "non-negative")
         if x.shape != (m, n, kbins):
             raise ValueError(f"init shape {x.shape} != {(m, n, kbins)}")
         # a masked-out pixel has a zero gradient, so no iteration removes

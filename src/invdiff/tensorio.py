@@ -29,8 +29,8 @@ _MAX_RANK = 8
 
 def write_tensor(path, arr) -> None:
     """Write an array as a raw little-endian float64 tensor file."""
-    a = np.ascontiguousarray(arr, dtype="<f8")
-    if a.ndim < 1 or a.ndim > _MAX_RANK:
+    a = np.ascontiguousarray(arr, dtype="<f8")  # at least 1-D: a scalar is (1,)
+    if a.ndim > _MAX_RANK:
         raise ValueError(f"rank must be 1..{_MAX_RANK}, got {a.ndim}")
     with open(path, "wb") as fh:
         fh.write(MAGIC)
@@ -101,10 +101,12 @@ def read_pgm16(path) -> tuple[np.ndarray, float]:
     if len(parts) != 4 or parts[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM file")
     dims = parts[1].split()
-    if len(dims) != 2 or parts[2] != b"65535":
+    if len(dims) != 2 or not all(d.isdigit() for d in dims) or parts[2] != b"65535":
         raise ValueError(f"{path}: unsupported PGM header")
     cols, rows = int(dims[0]), int(dims[1])
-    data = np.frombuffer(parts[3], dtype=">u2", count=rows * cols).reshape(rows, cols)
+    if len(parts[3]) != 2 * rows * cols:
+        raise ValueError(f"{path}: pixel block is not {rows} x {cols} 16-bit samples")
+    data = np.frombuffer(parts[3], dtype=">u2").reshape(rows, cols)
     with open(f"{path}.scale.txt", "r", encoding="utf-8") as fh:
         scale = float(fh.read().strip())
     return data.astype(np.float64) * scale, scale

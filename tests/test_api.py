@@ -14,6 +14,7 @@ import pytest
 
 import invdiff
 import invdiff.cli
+from invdiff.operator import check_real
 
 
 def _public_bindings():
@@ -179,3 +180,33 @@ def test_real_arguments_reject_non_finite_out_of_range_and_non_numbers(key):
         with pytest.raises(ValueError, match=name):
             call(bad)
     call(np.float64(good))
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [0.0, 2.5],
+        np.arange(6).reshape(2, 3),
+        np.ones(4, dtype=np.float32),
+        np.array([True, False]),
+        np.zeros((2, 2, 1)),
+        np.frombuffer(np.ones(3).tobytes()),  # already read-only
+        np.empty((0, 2)),
+    ],
+)
+def test_check_real_returns_a_read_only_copy_of_every_array(value):
+    # every holder of an array stores what check_real returns, so the copy
+    # is taken here, once
+    writeable = getattr(value, "flags", np.ones(1).flags).writeable
+    out = check_real("value", value, "non-negative")
+    assert out.dtype == np.float64 and out.shape == np.shape(value)
+    assert not out.flags.writeable
+    assert not np.shares_memory(out, value)
+    np.testing.assert_array_equal(out, value)
+    assert getattr(value, "flags", np.ones(1).flags).writeable == writeable
+
+
+def test_check_real_returns_a_scalar_as_a_float():
+    for value in (3, np.float32(2.5), np.array(1.5), True):
+        out = check_real("value", value)
+        assert type(out) is float and out == float(value)

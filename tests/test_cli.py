@@ -90,6 +90,29 @@ class TestTensorFile:
             with pytest.raises(ValueError, match="payload smaller than header promises"):
                 read_tensor(path)
 
+    @pytest.mark.parametrize(
+        "blob, message",
+        [
+            (b"IDF1\x02\x00", "truncated header"),
+            (b"IDF1" + struct.pack("<I", 0), "unsupported rank 0"),
+            (b"IDF1" + struct.pack("<I", 9) + bytes(36), "unsupported rank 9"),
+            (b"IDF1" + struct.pack("<2I", 2, 4), "truncated dimension list"),
+        ],
+    )
+    def test_malformed_header(self, tmp_path, blob, message):
+        path = tmp_path / "h.idf"
+        path.write_bytes(blob)
+        with pytest.raises(ValueError, match=f"h.idf: {message}"):
+            read_tensor(path)
+
+    def test_write_rank_limits(self, tmp_path):
+        # a scalar is written as a one-entry vector; rank 9 is refused
+        path = tmp_path / "s.idf"
+        write_tensor(path, 2.5)
+        np.testing.assert_array_equal(read_tensor(path), [2.5])
+        with pytest.raises(ValueError, match="rank must be 1..8, got 9"):
+            write_tensor(path, np.ones((1,) * 9))
+
     def test_trailing_garbage(self, tmp_path):
         path = tmp_path / "t.idf"
         write_tensor(path, np.ones(3))
@@ -115,6 +138,34 @@ class TestPgm16:
         write_pgm16(path, np.zeros((4, 4)))
         back, scale = read_pgm16(path)
         np.testing.assert_array_equal(back, 0.0)
+
+    def test_rejects_a_3d_image(self, tmp_path):
+        with pytest.raises(ValueError, match="image must be 2D"):
+            write_pgm16(tmp_path / "c.pgm", np.ones((2, 2, 2)))
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            (b"P2\n3 2\n65535\n", "not a binary PGM"),
+            (b"P5\n3 2\n255\n", "unsupported PGM header"),
+            (b"P5\n3 -2\n65535\n", "unsupported PGM header"),
+        ],
+    )
+    def test_rejects_other_pgm_kinds(self, tmp_path, header, message):
+        path = tmp_path / "k.pgm"
+        path.write_bytes(header + bytes(12))
+        with pytest.raises(ValueError, match=f"k.pgm: {message}"):
+            read_pgm16(path)
+
+    @pytest.mark.parametrize("cut", [-2, 2])
+    def test_pixel_block_must_match_the_header(self, tmp_path, cut):
+        # a short block and trailing bytes are both refused, naming the file
+        path = tmp_path / "p.pgm"
+        write_pgm16(path, np.ones((3, 2)))
+        data = path.read_bytes()
+        path.write_bytes(data[:cut] if cut < 0 else data + bytes(cut))
+        with pytest.raises(ValueError, match="p.pgm: pixel block is not 3 x 2"):
+            read_pgm16(path)
 
 
 class TestTruthCsv:
@@ -145,6 +196,7 @@ class TestTruthCsv:
             "3,4\nnan,3\n",  # not a finite coordinate
             "m,n\n4,inf\n",
             "-inf,2\n",
+            "m,n\n3\n",  # a single-column row
         ],
     )
     def test_corrupt_row_raises_with_path(self, tmp_path, text):

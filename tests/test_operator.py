@@ -26,7 +26,7 @@ from invdiff import (
     omega,
     op_norm_estimate,
 )
-from invdiff.operator import _cached_bank
+from invdiff.operator import _cached_bank, _psi_tail
 
 GRID = SigmaGrid(boundaries=(0.0, 2.0, 5.0, 10.0), support_set=(1, 2, 3))
 
@@ -128,6 +128,16 @@ class TestPsdrTensor:
         with pytest.raises(ValueError, match="non-negative"):
             PsdrTensor(data=np.full((2, 2, 1), -1.0))
 
+    def test_keeps_a_copy_of_the_callers_array(self):
+        # a later write to the caller's array must not make a checked
+        # tensor negative
+        a = np.zeros((2, 2, 1))
+        t = PsdrTensor(a)
+        a[0, 0, 0] = -7.0
+        assert t.data[0, 0, 0] == 0.0
+        assert not t.data.flags.writeable
+        assert a.flags.writeable
+
 
 class TestObservation:
     def test_plain_constructor(self):
@@ -142,6 +152,8 @@ class TestObservation:
             Observation(data=np.ones(3), weights=np.ones(3), mask=np.ones(3))
         with pytest.raises(ValueError, match="match the data shape"):
             Observation(data=d, weights=np.ones((2, 3)), mask=np.ones((3, 3)))
+        with pytest.raises(ValueError, match="match the data shape"):
+            Observation(data=d, weights=np.ones((3, 3)), mask=1.0)
         with pytest.raises(ValueError, match="finite"):
             Observation(data=d * np.inf, weights=np.ones((3, 3)), mask=np.ones((3, 3)))
         with pytest.raises(ValueError, match="non-negative"):
@@ -582,3 +594,74 @@ class TestOpNormEstimate:
         obs = Observation.plain(np.zeros((8, 8)))
         with pytest.raises(ValueError, match="iters"):
             op_norm_estimate(obs, bank, iters=0)
+
+
+class TestOmega:
+    # oracle: dblquad of the Gaussian pdf over two unit pixels at offset m
+    FROZEN = [
+        (1.3, 0, 0.29259676944974855),
+        (1.3, 1, 0.22365889839892128),
+        (1.3, 3, 0.025950438318833625),
+        (0.4, 0, 0.6824494854221566),
+        (6.0, 5, 0.04695201118533902),
+    ]
+
+    def test_frozen_quadrature_values(self):
+        for sigma, m, want in self.FROZEN:
+            assert omega(sigma, m) == pytest.approx(want, rel=1e-10)
+
+    def test_zero_scale_degenerates_to_unit_pulse(self):
+        assert omega(0.0, 0) == 1.0
+        assert omega(0.0, 1) == 0.0
+        assert omega(0.0, -3) == 0.0
+
+    def test_even_in_offset(self):
+        for sigma in (0.3, 1.0, 4.2):
+            ms = np.arange(1, 12)
+            np.testing.assert_array_equal(omega(sigma, ms), omega(sigma, -ms))
+
+    def test_unit_mass(self):
+        for sigma in (0.2, 1.7, 9.0):
+            r = int(np.ceil(8 * sigma)) + 4
+            total = omega(sigma, np.arange(-r, r + 1)).sum()
+            assert total == pytest.approx(1.0, abs=1e-12)
+
+    def test_non_negative_and_peaked_at_zero(self):
+        for sigma in (0.5, 2.0):
+            vals = omega(sigma, np.arange(-20, 21))
+            assert (vals >= 0).all()
+            assert vals.argmax() == 20
+
+    def test_small_scale_approaches_triangle(self):
+        # as sigma -> 0 the pixel-pair overlap tends to max(0, 1 - |m|)
+        vals = omega(1e-9, np.arange(-2, 3))
+        np.testing.assert_allclose(vals, [0, 0, 1, 0, 0], atol=1e-9)
+
+    @staticmethod
+    def _three_psi(sigma, m):
+        # the response formed offset by offset from three psi evaluations
+        am = np.abs(m).astype(np.float64)
+        if sigma < 1e-12:
+            return np.where(am == 0, 1.0, 0.0)
+        trip = (
+            _psi_tail((am + 1.0) / sigma)
+            - 2.0 * _psi_tail(am / sigma)
+            + _psi_tail((am - 1.0) / sigma)
+        )
+        return np.maximum(sigma * trip, 0.0)
+
+    def test_bit_equal_to_three_psi_formula(self):
+        ms = np.array([-40, 7, 0, -1, 3, 250, -3, 12, 1])
+        for sigma in (1e-13, 1e-9, 0.3, 2.0, 70.0):
+            np.testing.assert_array_equal(omega(sigma, ms), self._three_psi(sigma, ms))
+            assert omega(sigma, -5) == self._three_psi(sigma, np.array([-5]))[0]
+        # |-128| does not fit in int8; the offset still reads as 128
+        assert omega(2.0, np.int8(-128)) == omega(2.0, 128)
+
+    def test_rejects_bad_input(self):
+        with pytest.raises(ValueError):
+            omega(-1.0, 0)
+        with pytest.raises(ValueError):
+            omega(np.inf, 0)
+        with pytest.raises(ValueError):
+            omega(1.0, 0.5)
